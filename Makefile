@@ -1,7 +1,7 @@
 # Tier-1 gate: everything `make check` runs must stay green.
 GO ?= go
 
-.PHONY: all build check fmt vet staticcheck test race bench bench-scale bench-scale-profile bench-scale-smoke bench-rollouts bench-rollouts-profile memo-golden-smoke lane-race-smoke clean
+.PHONY: all build check fmt vet staticcheck test race bench bench-scale bench-scale-profile bench-scale-smoke bench-rollouts bench-rollouts-profile memo-golden-smoke batch-race-smoke clean
 
 all: build
 
@@ -12,7 +12,7 @@ build:
 # installed), the full suite under the race detector (the telemetry
 # hub and the insitu driver are concurrent by design), and a single-
 # iteration pass over the scale benchmarks so they cannot rot.
-check: fmt vet staticcheck race bench-scale-smoke memo-golden-smoke lane-race-smoke
+check: fmt vet staticcheck race bench-scale-smoke memo-golden-smoke batch-race-smoke
 
 fmt:
 	@out="$$(gofmt -l .)"; \
@@ -118,10 +118,10 @@ memo-golden-smoke:
 	rm -f "$$tmp/seesaw-memo-on.txt" "$$tmp/seesaw-memo-off.txt"; \
 	echo "memo golden smoke ok: memoized and live reports are byte-identical"
 
-# lane-race-smoke runs one 256-node lane-batched grid sweep under the
-# race detector: the lane-stepped executor, the shared trace cache and
+# batch-race-smoke runs one 256-node batched grid sweep under the race
+# detector: the per-worker pooled episodes, the shared trace cache and
 # the campaign pool all on the hot path at real concurrency.
-lane-race-smoke:
+batch-race-smoke:
 	$(GO) test -race -run xxx -bench 'BenchmarkRolloutsBatch/nodes=256/jobs=4' -benchtime 1x ./internal/rollout/
 
 clean:

@@ -83,7 +83,6 @@ func runSearch(ctx context.Context, args []string) int {
 	analyses := fs.String("analyses", "", "comma-separated analyses (default msd)")
 	seed := fs.Uint64("seed", 1, "base job seed")
 	jobs := fs.Int("jobs", 0, "max rollouts in flight (0 = GOMAXPROCS); results are identical at any value")
-	lanes := fs.Int("lanes", 0, "same-job episodes advanced in lockstep per worker (0 = default, 1 disables lane batching); results are identical at any width")
 	noMemo := fs.Bool("no-noise-memo", false, "disable noise-trace memoization: draw every jitter variate live instead of replaying the recorded trace; results are identical either way")
 	cacheStats := fs.Bool("cache-stats", false, "print a trace-cache summary line (hits/misses/evictions/bytes) after the search")
 	telPath := fs.String("telemetry", "", "stream telemetry events to this file as JSON Lines")
@@ -144,7 +143,7 @@ func runSearch(ctx context.Context, args []string) int {
 	defer closeHub()
 	cache := rollout.NewStateCache()
 	cache.SetTelemetry(hub)
-	outs, err := rollout.Batch(ctx, points, rollout.Options{Jobs: *jobs, Lanes: *lanes, Cache: cache, Telemetry: hub})
+	outs, err := rollout.Batch(ctx, points, rollout.Options{Jobs: *jobs, Cache: cache, Telemetry: hub})
 	if err != nil {
 		return fail(ctx, err)
 	}

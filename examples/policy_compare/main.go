@@ -10,10 +10,10 @@ import (
 	"log"
 	"os"
 
-	"seesaw/internal/bench"
 	"seesaw/internal/core"
 	"seesaw/internal/cosim"
 	"seesaw/internal/machine"
+	"seesaw/internal/policy"
 	"seesaw/internal/trace"
 	"seesaw/internal/units"
 	"seesaw/internal/workload"
@@ -34,14 +34,14 @@ func main() {
 		"policy", "runtime (s)", "vs static", "mean slack", "final sim/ana caps (W)")
 
 	var staticTime units.Seconds
-	for _, name := range append([]string{"static"}, bench.PolicyNames()...) {
-		policy, err := bench.NewPolicy(name, cons, 1)
+	for _, name := range append([]string{"static"}, policy.Compared()...) {
+		pol, err := policy.New(name, cons, 1)
 		if err != nil {
 			log.Fatal(err)
 		}
 		res, err := cosim.Run(context.Background(), cosim.Config{
 			Spec:        spec,
-			Policy:      policy,
+			Policy:      pol,
 			Constraints: cons,
 			CapMode:     cosim.CapLong,
 			Seed:        7,

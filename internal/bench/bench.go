@@ -187,18 +187,6 @@ func constraintsFor(n int, capPerNode units.Watts) core.Constraints {
 	return core.Constraints{Budget: capPerNode * units.Watts(n), MinCap: minCap, MaxCap: maxCap}
 }
 
-// NewPolicy resolves a policy name through the process-wide registry
-// (internal/policy). Window w applies where the paper says it does
-// (SeeSAw and the power-aware scheme; the time-aware one ignores it) and
-// is validated once by the registry.
-func NewPolicy(name string, cons core.Constraints, w int) (core.Policy, error) {
-	return policy.New(name, cons, w)
-}
-
-// PolicyNames lists the comparable policies in paper order (from the
-// registry's one copy of that ordering).
-func PolicyNames() []string { return policy.Compared() }
-
 // cell describes one co-simulated job cell.
 type cell struct {
 	spec       workload.Spec
@@ -227,7 +215,7 @@ func runCell(ctx context.Context, c cell) (*cosim.Result, error) {
 	if w < 1 {
 		w = 1
 	}
-	pol, err := NewPolicy(c.policy, cons, w)
+	pol, err := policy.New(c.policy, cons, w)
 	if err != nil {
 		return nil, err
 	}

@@ -90,22 +90,6 @@ func TestAllExperimentsRun(t *testing.T) {
 	}
 }
 
-func TestNewPolicy(t *testing.T) {
-	cons := constraintsFor(8, 110)
-	for _, name := range append(PolicyNames(), "static") {
-		p, err := NewPolicy(name, cons, 1)
-		if err != nil {
-			t.Fatalf("NewPolicy(%s): %v", name, err)
-		}
-		if p.Name() != name {
-			t.Errorf("policy name %q != %q", p.Name(), name)
-		}
-	}
-	if _, err := NewPolicy("bogus", cons, 1); err == nil {
-		t.Error("bogus policy accepted")
-	}
-}
-
 func TestImprovementPct(t *testing.T) {
 	if got := improvementPct(100, 90); got != 10 {
 		t.Errorf("improvement = %v, want 10", got)

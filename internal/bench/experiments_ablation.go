@@ -12,6 +12,7 @@ import (
 	"seesaw/internal/core"
 	"seesaw/internal/cosim"
 	"seesaw/internal/machine"
+	"seesaw/internal/policy"
 	"seesaw/internal/sched"
 	"seesaw/internal/trace"
 	"seesaw/internal/units"
@@ -290,7 +291,7 @@ func runAblExplore(ctx context.Context, o Options, w io.Writer) error {
 func runAblTransient(ctx context.Context, o Options, w io.Writer) error {
 	steps := o.steps(defaultSteps)
 	cons := constraintsFor(2*nodes128Half, defaultCap)
-	names := PolicyNames()
+	names := policy.Compared()
 	variants := []bool{false, true}
 
 	specFor := func(noTransient bool) workload.Spec {
@@ -312,7 +313,7 @@ func runAblTransient(ctx context.Context, o Options, w io.Writer) error {
 		for _, noTransient := range variants {
 			key := fmt.Sprintf("transient%v/%s", !noTransient, name)
 			polG[name][noTransient] = ablTimeCell(e, key, specFor(noTransient), func() core.Policy {
-				pol, err := NewPolicy(name, cons, 1)
+				pol, err := policy.New(name, cons, 1)
 				if err != nil {
 					panic(err) // names are the fixed set above
 				}
@@ -377,7 +378,7 @@ func runAblOracle(ctx context.Context, o Options, w io.Writer) error {
 		for _, name := range names {
 			name := name
 			rw.policies = append(rw.policies, ablTimeCell(e, cs.label+"/"+name, spec, func() core.Policy {
-				pol, err := NewPolicy(name, cons, 1)
+				pol, err := policy.New(name, cons, 1)
 				if err != nil {
 					panic(err)
 				}

@@ -15,6 +15,7 @@ import (
 
 	"seesaw/internal/cosim"
 	"seesaw/internal/fault"
+	"seesaw/internal/policy"
 	"seesaw/internal/trace"
 	"seesaw/internal/workload"
 )
@@ -59,7 +60,7 @@ func runFaults(ctx context.Context, o Options, w io.Writer) error {
 	steps := o.steps(defaultSteps)
 	spec := specAt(8, defaultDim, 1, steps, workload.Tasks("msd"))
 	scenarios := faultScenarios(spec, steps)
-	policies := append([]string{"static"}, PolicyNames()...)
+	policies := append([]string{"static"}, policy.Compared()...)
 
 	e := newEnum("faults")
 	var getters [][]func() *cosim.Result // [scenario][policy]

@@ -8,6 +8,7 @@ import (
 	"io"
 
 	"seesaw/internal/cosim"
+	"seesaw/internal/policy"
 	"seesaw/internal/trace"
 	"seesaw/internal/workload"
 )
@@ -63,7 +64,7 @@ func runFig3a(ctx context.Context, o Options, w io.Writer) error {
 	var getters [][]func() (float64, float64) // [case][policy]
 	for _, cs := range fig3aCases() {
 		var row []func() (float64, float64)
-		for _, p := range PolicyNames() {
+		for _, p := range policy.Compared() {
 			row = append(row, e.paired(fmt.Sprintf("%s/%s", cs.label, p), cell{
 				spec:   spec128(cs.dim, 1, steps, cs.analyses),
 				policy: p, window: 1, telemetry: o.Telemetry,
@@ -76,7 +77,7 @@ func runFig3a(ctx context.Context, o Options, w io.Writer) error {
 	}
 
 	tbl := trace.NewTable("Fig 3a: % runtime improvement over static baseline (negative = slowdown)",
-		append([]string{"analysis (dim)"}, PolicyNames()...)...)
+		append([]string{"analysis (dim)"}, policy.Compared()...)...)
 	for i, cs := range fig3aCases() {
 		row := []any{fmt.Sprintf("%s (dim=%d)", cs.label, cs.dim)}
 		for _, g := range getters[i] {
@@ -104,7 +105,7 @@ func runFig3b(ctx context.Context, o Options, w io.Writer) error {
 	for _, cs := range cases {
 		for _, n := range scales {
 			var row []func() (float64, float64)
-			for _, p := range PolicyNames() {
+			for _, p := range policy.Compared() {
 				row = append(row, e.paired(fmt.Sprintf("%s/n%d/%s", cs.label, n, p), cell{
 					spec:   specAt(n, cs.dim, 1, steps, cs.analyses),
 					policy: p, window: 1, telemetry: o.Telemetry,
@@ -118,7 +119,7 @@ func runFig3b(ctx context.Context, o Options, w io.Writer) error {
 	}
 
 	tbl := trace.NewTable("Fig 3b: % runtime improvement over static baseline at scale",
-		append([]string{"workload", "nodes"}, PolicyNames()...)...)
+		append([]string{"workload", "nodes"}, policy.Compared()...)...)
 	i := 0
 	for _, cs := range cases {
 		for _, n := range scales {
@@ -141,7 +142,7 @@ func runFig4(ctx context.Context, o Options, w io.Writer) error {
 	steps := o.steps(defaultSteps)
 	spec := spec128(defaultDim, 1, steps, workload.Tasks("msd"))
 
-	policies := PolicyNames()
+	policies := policy.Compared()
 	e := newEnum("fig4")
 	resCell := func(p string) func() *cosim.Result {
 		return addCell(e, p, o.BaseSeed+41, func(ctx context.Context) (*cosim.Result, error) {

@@ -16,6 +16,7 @@ import (
 
 	"seesaw/internal/fault"
 	"seesaw/internal/machine"
+	"seesaw/internal/policy"
 	"seesaw/internal/rollout"
 	"seesaw/internal/trace"
 	"seesaw/internal/workload"
@@ -59,7 +60,7 @@ func runSearchExperiment(ctx context.Context, o Options, w io.Writer) error {
 	steps := o.steps(defaultSteps)
 	spec := specAt(8, defaultDim, 1, steps, workload.Tasks("msd"))
 	scenarios := searchScenarios(spec, steps)
-	fixed := append([]string{"static"}, PolicyNames()...)
+	fixed := append([]string{"static"}, policy.Compared()...)
 	policies := append(append([]string(nil), fixed...), "bandit")
 
 	var points []rollout.Point

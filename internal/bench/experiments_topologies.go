@@ -15,6 +15,7 @@ import (
 	"io"
 
 	"seesaw/internal/machine"
+	"seesaw/internal/policy"
 	"seesaw/internal/trace"
 	"seesaw/internal/workflow"
 	"seesaw/internal/workload"
@@ -33,7 +34,7 @@ const topologyNodes = 16
 func runTopologies(ctx context.Context, o Options, w io.Writer) error {
 	steps := o.steps(defaultSteps)
 	topologies := workflow.TopologyNames()
-	policies := append([]string{"static"}, PolicyNames()...)
+	policies := append([]string{"static"}, policy.Compared()...)
 
 	e := newEnum("topologies")
 	var getters [][]func() *workflow.Result // [topology][policy]
@@ -53,7 +54,7 @@ func runTopologies(ctx context.Context, o Options, w io.Writer) error {
 			row = append(row, addCell(e, key, o.BaseSeed+67, func(ctx context.Context) (*workflow.Result, error) {
 				// A fresh policy per cell: the window-based policies carry
 				// per-run history.
-				pol, err := NewPolicy(p, cons, 1)
+				pol, err := policy.New(p, cons, 1)
 				if err != nil {
 					return nil, err
 				}

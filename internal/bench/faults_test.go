@@ -14,7 +14,9 @@ import (
 // TestFaultsExperimentRenders: the faults experiment completes, reports
 // the shrunken partition, and its kill emits lifecycle telemetry.
 func TestFaultsExperimentRenders(t *testing.T) {
-	hub := telemetry.New(telemetry.Options{})
+	// A ring large enough for the whole run: with the default 1024 slots
+	// the kill event can be overwritten by cells that finish after it.
+	hub := telemetry.New(telemetry.Options{RingSize: 1 << 16})
 	e, ok := Get("faults")
 	if !ok {
 		t.Fatal("faults experiment not registered")

@@ -142,8 +142,8 @@ func TestTopologiesByteIdenticalAcrossJobs(t *testing.T) {
 
 // TestSearchByteIdenticalAcrossJobs pins determinism for the rollout
 // path: the search experiment fans every (scenario, policy) point over
-// rollout.Batch, where each episode runs on its own Env goroutine pair
-// — the channel rendezvous must not leak scheduling into the ranking.
+// rollout.Batch, where each worker replays pooled episodes on its own
+// Env — worker scheduling must not leak into the ranking.
 func TestSearchByteIdenticalAcrossJobs(t *testing.T) {
 	e, ok := Get("search")
 	if !ok {

@@ -26,6 +26,7 @@ import (
 	"seesaw/internal/cosim"
 	"seesaw/internal/fault"
 	"seesaw/internal/machine"
+	"seesaw/internal/policy"
 	"seesaw/internal/trace"
 	"seesaw/internal/workload"
 )
@@ -67,7 +68,7 @@ func runHetero(ctx context.Context, o Options, w io.Writer) error {
 	steps := o.steps(defaultSteps)
 	spec := specAt(8, defaultDim, 1, steps, workload.Tasks("msd"))
 	scenarios := heteroScenarios(spec, steps)
-	policies := append([]string{"static"}, PolicyNames()...)
+	policies := append([]string{"static"}, policy.Compared()...)
 
 	e := newEnum("hetero")
 	var getters [][]func() *cosim.Result // [scenario][policy]

@@ -376,9 +376,8 @@ func (j *Job) BuildWorkflow() (workflow.Config, error) {
 	}, nil
 }
 
-// buildPolicy resolves the name through the process-wide registry
-// (jobfile sits below the experiment layer, so it goes to the registry
-// directly rather than through bench.NewPolicy).
+// buildPolicy resolves the name through the process-wide policy
+// registry.
 func buildPolicy(name string, cons core.Constraints, w int) (core.Policy, error) {
 	return policy.New(name, cons, w)
 }

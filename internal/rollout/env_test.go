@@ -10,6 +10,7 @@ import (
 	"seesaw/internal/machine"
 	"seesaw/internal/policy"
 	"seesaw/internal/trace"
+	"seesaw/internal/units"
 	"seesaw/internal/workflow"
 	"seesaw/internal/workload"
 )
@@ -46,7 +47,7 @@ func syncCSV(t *testing.T, log *trace.SyncLog) []byte {
 }
 
 // TestEnvByteIdenticalToInLoopCosim pins the package's core contract:
-// a registry policy driven through the Env step API reproduces the
+// a registry policy driven through an Env rollout reproduces the
 // space-shared driver's in-loop execution byte for byte.
 func TestEnvByteIdenticalToInLoopCosim(t *testing.T) {
 	for _, name := range policy.Names() {
@@ -150,77 +151,43 @@ func TestEnvByteIdenticalToInLoopWorkflow(t *testing.T) {
 	}
 }
 
-// TestEnvStepAPI exercises the explicit Reset/Step/Result loop: the
-// observation stream covers every sync, aggregates are filled, and
-// Result is gated on completion.
-func TestEnvStepAPI(t *testing.T) {
-	env := NewEnv()
-	defer env.Close()
-
+// TestNoiseMemoGolden pins the memoization contract end to end: a
+// memoized episode (noise trace recorded once, replayed thereafter) is
+// byte-identical to the same spec with NoNoiseMemo — every jitter
+// variate drawn live from the node streams.
+func TestNoiseMemoGolden(t *testing.T) {
 	spec := testSpec("", t)
-	obs, err := env.Reset(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if obs.Step != 1 {
-		t.Fatalf("first observation at step %d, want 1", obs.Step)
-	}
-	if len(obs.Measures) != 8 {
-		t.Fatalf("observation has %d measures, want 8", len(obs.Measures))
-	}
-	if obs.AliveSim != 4 || obs.AliveAna != 4 {
-		t.Errorf("alive counts %d/%d, want 4/4", obs.AliveSim, obs.AliveAna)
-	}
-	if obs.SimPower <= 0 || obs.SimTime <= 0 {
-		t.Errorf("aggregates not filled: %+v", obs)
-	}
-	if _, err := env.Result(); err == nil {
-		t.Error("Result succeeded mid-episode")
-	}
+	spec.Faults = nil // fault-free so the memo path actually engages
+	n := spec.Workload.SimNodes + spec.Workload.AnaNodes
 
-	steps := 1
-	for {
-		next, done := env.Step(nil) // nil action: leave caps unchanged
-		if done {
-			break
+	run := func(s Spec) *Result {
+		t.Helper()
+		env := NewEnv()
+		// Two rollouts: the second replays the recorded trace (or, with
+		// NoNoiseMemo, redraws live) over the pooled episode.
+		var res *Result
+		for i := 0; i < 2; i++ {
+			pol, err := policy.New("seesaw", s.constraints(n), 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res, err = env.Rollout(context.Background(), s, pol); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if next.Step != obs.Step+1 {
-			t.Fatalf("observation step %d after %d", next.Step, obs.Step)
-		}
-		obs = next
-		steps++
+		return res
 	}
-	if steps != spec.Workload.Steps {
-		t.Errorf("saw %d observations, want %d", steps, spec.Workload.Steps)
-	}
-	res, err := env.Result()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.TotalTime <= 0 || len(res.SyncLog.Records) != spec.Workload.Steps {
-		t.Errorf("result incomplete: time %v, %d records", res.TotalTime, len(res.SyncLog.Records))
-	}
-}
 
-// TestEnvResetAbandonsEpisode: Reset mid-episode must unwind the old
-// driver and start clean.
-func TestEnvResetAbandonsEpisode(t *testing.T) {
-	env := NewEnv()
-	defer env.Close()
+	memo := run(spec)
+	live := spec
+	live.NoNoiseMemo = true
+	liveRes := run(live)
 
-	spec := testSpec("", t)
-	if _, err := env.Reset(spec); err != nil {
-		t.Fatal(err)
+	if memo.TotalTime != liveRes.TotalTime || memo.TotalEnergy != liveRes.TotalEnergy {
+		t.Error("memoized totals diverge from live draws")
 	}
-	if _, done := env.Step(nil); done {
-		t.Fatal("episode ended after one step")
-	}
-	obs, err := env.Reset(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if obs.Step != 1 {
-		t.Fatalf("restarted episode observes step %d, want 1", obs.Step)
+	if !bytes.Equal(syncCSV(t, memo.SyncLog), syncCSV(t, liveRes.SyncLog)) {
+		t.Error("memoized SyncLog diverges from live draws")
 	}
 }
 
@@ -279,6 +246,20 @@ func TestGridExpandValidation(t *testing.T) {
 	}
 	if _, err := (Grid{Faults: []string{"explode:1@2"}}).Expand(); err == nil {
 		t.Error("bad fault plan accepted")
+	}
+	// Explicit zeros must not fall back to the axis or spec defaults.
+	for name, g := range map[string]Grid{
+		"zero budget":     {Budgets: []units.Watts{0, 110}},
+		"negative budget": {Budgets: []units.Watts{-5}},
+		"zero window":     {Windows: []int{0, 1}},
+		"zero dim":        {Dims: []int{0}},
+		"negative dim":    {Dims: []int{-16}},
+		"one node":        {Nodes: []int{1}},
+		"zero nodes":      {Nodes: []int{0, 8}},
+	} {
+		if _, err := g.Expand(); err == nil {
+			t.Errorf("%s accepted", name)
+		}
 	}
 	points, err := Grid{}.Expand()
 	if err != nil {

@@ -3,9 +3,10 @@ package rollout
 import (
 	"bytes"
 	"context"
-	"sync/atomic"
+	"errors"
 	"testing"
 
+	"seesaw/internal/core"
 	"seesaw/internal/cosim"
 	"seesaw/internal/machine"
 	"seesaw/internal/policy"
@@ -14,8 +15,7 @@ import (
 )
 
 // TestEnvPooledMatchesFresh pins the episode-reuse contract: replaying
-// a spec on one Env — pooled cluster, pooled scratch, parked driver
-// goroutine — produces byte-identical reports to a fresh in-loop run,
+// a spec on one Env — pooled cluster, pooled scratch — produces byte-identical reports to a fresh in-loop run,
 // every time, for both drivers.
 func TestEnvPooledMatchesFresh(t *testing.T) {
 	t.Run("space-shared", func(t *testing.T) {
@@ -42,7 +42,6 @@ func TestEnvPooledMatchesFresh(t *testing.T) {
 		}
 
 		env := NewEnv()
-		defer env.Close()
 		for round := 0; round < 3; round++ {
 			pol, err := policy.New("seesaw", cons, 1)
 			if err != nil {
@@ -65,9 +64,8 @@ func TestEnvPooledMatchesFresh(t *testing.T) {
 	t.Run("workflow", func(t *testing.T) {
 		spec := testSpec("dag", t)
 		cons := spec.constraints(spec.Workload.SimNodes + spec.Workload.AnaNodes)
-		_ = cons
 
-		baselinePol, err := policy.New("seesaw", spec.constraints(8), 1)
+		baselinePol, err := policy.New("seesaw", cons, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -77,9 +75,8 @@ func TestEnvPooledMatchesFresh(t *testing.T) {
 		}
 
 		env := NewEnv()
-		defer env.Close()
 		for round := 0; round < 2; round++ {
-			pol, err := policy.New("seesaw", spec.constraints(8), 1)
+			pol, err := policy.New("seesaw", cons, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -120,7 +117,6 @@ func TestEnvPooledAcrossEpisodeParams(t *testing.T) {
 	}
 
 	env := NewEnv()
-	defer env.Close()
 	// Interleave budgets twice over; every episode reuses the same
 	// pooled cluster because the job key ignores the budget.
 	for round := 0; round < 2; round++ {
@@ -142,45 +138,73 @@ func TestEnvPooledAcrossEpisodeParams(t *testing.T) {
 	}
 }
 
-// TestStepZeroAllocs is the fast path's allocation gate: once an
-// episode is warm, advancing it — driver goroutine, rendezvous,
-// observation publication and the whole cosim interval loop — must not
-// allocate at all.
+// TestStepZeroAllocs is the fast path's allocation gate: a pooled
+// Env.Rollout allocates a fixed number of objects per episode (policy,
+// result, sync-log backing) and none per step, so ten times the steps
+// must not cost a single extra allocation. Time-aware and power-aware
+// allocate inside every Allocate and are left out.
 func TestStepZeroAllocs(t *testing.T) {
-	spec := Spec{
-		Workload: workload.Spec{
-			SimNodes: 4, AnaNodes: 4,
-			Dim: 8, J: 1, Steps: 4000,
-			Analyses: workload.Tasks("msd"),
-		},
-		Seed:    21,
-		RunSeed: 22,
-		Noise:   machine.DefaultNoise(),
+	if raceEnabled {
+		t.Skip("the race detector's runtime perturbs allocation counts")
 	}
-	env := NewEnv()
-	defer env.Close()
-	if _, err := env.Reset(spec); err != nil {
-		t.Fatal(err)
-	}
-	// Warm the pools: measure buffers, RAPL windows, sync log backing.
-	for i := 0; i < 200; i++ {
-		if _, done := env.Step(nil); done {
-			t.Fatal("episode ended during warmup")
-		}
-	}
-	allocs := testing.AllocsPerRun(1000, func() {
-		if _, done := env.Step(nil); done {
-			t.Fatal("episode ended during measurement")
-		}
-	})
-	if allocs != 0 {
-		t.Errorf("steady-state Step allocates %.1f objects/step, want 0", allocs)
+	for _, name := range []string{"seesaw", "static"} {
+		t.Run(name, func(t *testing.T) {
+			allocs := func(steps int) float64 {
+				spec := Spec{
+					Workload: workload.Spec{
+						SimNodes: 4, AnaNodes: 4,
+						Dim: 8, J: 1, Steps: steps,
+						Analyses: workload.Tasks("msd"),
+					},
+					Seed:    21,
+					RunSeed: 22,
+					Noise:   machine.DefaultNoise(),
+				}
+				fac, err := policy.Lookup(name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				env := NewEnv()
+				rollout := func() {
+					pol, err := fac(spec.constraints(8), 1)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if _, err := env.Rollout(context.Background(), spec, pol); err != nil {
+						t.Fatal(err)
+					}
+				}
+				// Warm the pool: episode, RAPL windows, policy scratch.
+				rollout()
+				return testing.AllocsPerRun(5, rollout)
+			}
+			short, long := allocs(400), allocs(4000)
+			t.Logf("%.0f allocs/episode at 400 steps, %.0f at 4000", short, long)
+			if long > short {
+				t.Errorf("Rollout allocates %.0f objects/episode at 4000 steps, %.0f at 400: the window loop allocates", long, short)
+			}
+		})
 	}
 }
 
+// cancelAt is a policy that cancels its episode's context at one
+// synchronization and otherwise leaves the caps unchanged.
+type cancelAt struct {
+	sync   int
+	cancel context.CancelFunc
+}
+
+func (*cancelAt) Name() string { return "cancel-at" }
+
+func (p *cancelAt) Allocate(step int, _ []core.NodeMeasure) []units.Watts {
+	if step == p.sync {
+		p.cancel()
+	}
+	return nil
+}
+
 // TestEnvPooledHammer drives thousands of pooled episodes through one
-// Env — interleaved with mid-episode abandons and context cancels — to
-// shake out rendezvous races (run under -race in CI) and pool
+// Env — interleaved with episodes cancelled mid-run — to shake out pool
 // corruption across episode boundaries.
 func TestEnvPooledHammer(t *testing.T) {
 	episodes := 10000
@@ -208,97 +232,47 @@ func TestEnvPooledHammer(t *testing.T) {
 	wantCSV := syncCSV(t, want.SyncLog)
 
 	env := NewEnv()
-	defer env.Close()
-	var completed atomic.Int64
+	completed := 0
 	for i := 0; i < episodes; i++ {
-		switch i % 5 {
-		case 3:
-			// Abandon mid-episode: the next Reset must unwind cleanly
-			// and the pool must replay from scratch.
-			if _, err := env.Reset(spec); err != nil {
-				t.Fatal(err)
-			}
-			env.Step(nil)
-		case 4:
-			// Cancel mid-episode: Step reports done promptly and
-			// Result surfaces the context error.
+		if i%5 == 4 {
+			// Cancel at sync 3: Rollout must surface the context error,
+			// and the next pooled episode must replay from scratch.
 			ctx, cancel := context.WithCancel(context.Background())
-			if _, err := env.ResetContext(ctx, spec); err != nil {
-				t.Fatal(err)
+			_, err := env.Rollout(ctx, spec, &cancelAt{sync: 3, cancel: cancel})
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("episode %d: cancelled rollout returned %v, want %v", i, err, context.Canceled)
 			}
-			env.Step(nil)
-			cancel()
-			for {
-				if _, done := env.Step(nil); done {
-					break
-				}
-			}
-			if _, err := env.Result(); err == nil {
-				t.Fatal("cancelled episode reported no error")
-			}
-		default:
-			p, err := policy.New("seesaw", spec.constraints(4), 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := env.Rollout(context.Background(), spec, p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(syncCSV(t, res.SyncLog), wantCSV) {
-				t.Fatalf("episode %d diverges after pooled replay", i)
-			}
-			completed.Add(1)
+			continue
 		}
+		p, err := policy.New("seesaw", spec.constraints(4), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := env.Rollout(context.Background(), spec, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(syncCSV(t, res.SyncLog), wantCSV) {
+			t.Fatalf("episode %d diverges after pooled replay", i)
+		}
+		completed++
 	}
-	if completed.Load() == 0 {
+	if completed == 0 {
 		t.Fatal("no episodes completed")
 	}
 }
 
-// TestObservationClone pins the retention contract: a Clone stays
-// intact when the Env advances and overwrites its buffers.
-func TestObservationClone(t *testing.T) {
-	spec := testSpec("", t)
-	env := NewEnv()
-	defer env.Close()
-	obs, err := env.Reset(spec)
+// TestRolloutContextCancelled: the context passed to Rollout governs
+// the whole episode.
+func TestRolloutContextCancelled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	pol, err := policy.New("seesaw", testSpec("", t).constraints(8), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	clone := obs.Clone()
-	if &clone.Measures[0] == &obs.Measures[0] {
-		t.Fatal("Clone aliases the Env's buffer")
-	}
-	snapshot := append([]units.Watts(nil), func() []units.Watts {
-		caps := make([]units.Watts, len(clone.Measures))
-		for i, m := range clone.Measures {
-			caps[i] = m.Cap
-		}
-		return caps
-	}()...)
-	// Advance well past the double buffer's reuse horizon.
-	for i := 0; i < 4; i++ {
-		if _, done := env.Step(nil); done {
-			t.Fatal("episode ended early")
-		}
-	}
-	for i, m := range clone.Measures {
-		if m.Cap != snapshot[i] {
-			t.Fatalf("clone mutated at node %d after steps", i)
-		}
-	}
-}
-
-// TestResetContextCancelled pins satellite semantics: the context
-// passed to ResetContext governs the whole episode.
-func TestResetContextCancelled(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	env := NewEnv()
-	defer env.Close()
-	if _, err := env.ResetContext(ctx, testSpec("", t)); err == nil {
-		t.Fatal("Reset under a cancelled context succeeded")
+	if _, err := NewEnv().Rollout(ctx, testSpec("", t), pol); err == nil {
+		t.Fatal("Rollout under a cancelled context succeeded")
 	}
 }
 

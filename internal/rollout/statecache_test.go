@@ -219,20 +219,26 @@ func TestStateCacheSharedAcrossBatches(t *testing.T) {
 		t.Fatal(err)
 	}
 	cache := NewStateCache()
+	var first CacheStats
 	for round := 0; round < 2; round++ {
 		if _, err := Batch(context.Background(), points, Options{Cache: cache, Jobs: 2}); err != nil {
 			t.Fatalf("round %d: %v", round, err)
+		}
+		if round == 0 {
+			first = cache.Stats()
 		}
 	}
 	st := cache.Stats()
 	if st.Entries != 1 {
 		t.Fatalf("%d cache entries for one job, want 1", st.Entries)
 	}
-	if st.Misses != 1 {
-		t.Errorf("%d misses across two batches of one job, want 1 (stats: %+v)", st.Misses, st)
+	// Both workers may miss in the first batch (one joins the other's
+	// in-flight build); the second batch must be served from the cache.
+	if st.Misses != first.Misses {
+		t.Errorf("second batch missed %d times, want 0 (stats: %+v)", st.Misses-first.Misses, st)
 	}
-	if st.Hits == 0 {
-		t.Errorf("no hits across two batches of one job (stats: %+v)", st)
+	if st.Hits <= first.Hits {
+		t.Errorf("no hits in the second batch of one job (stats: %+v)", st)
 	}
 }
 
