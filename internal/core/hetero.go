@@ -16,8 +16,8 @@ import (
 // heteroNodes reports whether any measurement carries class
 // capability; the cluster layer sets Weight on every node or none.
 func heteroNodes(nodes []NodeMeasure) bool {
-	for _, n := range nodes {
-		if n.NodeCapability.Hetero() {
+	for i := range nodes {
+		if nodes[i].NodeCapability.Hetero() {
 			return true
 		}
 	}
@@ -26,7 +26,7 @@ func heteroNodes(nodes []NodeMeasure) bool {
 
 // weightOf is a node's capability weight with the homogeneous
 // fallback of 1.
-func weightOf(n NodeMeasure) float64 {
+func weightOf(n *NodeMeasure) float64 {
 	if n.Weight > 0 {
 		return n.Weight
 	}
@@ -43,7 +43,8 @@ type heteroMember struct {
 // heteroMembers splits the live measurements into per-partition
 // waterfill members carrying each node's weight and clamp range.
 func heteroMembers(nodes []NodeMeasure, c Constraints) (sim, ana []heteroMember) {
-	for i, n := range nodes {
+	for i := range nodes {
+		n := &nodes[i]
 		if n.Health == Dead {
 			continue
 		}

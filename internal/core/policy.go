@@ -153,7 +153,7 @@ func (c NodeCapability) Hetero() bool { return c.Weight != 0 }
 
 // CapRange returns the node's effective per-node cap clamp range: its
 // own class range where set, the global constraint range otherwise.
-func (n NodeMeasure) CapRange(c Constraints) (lo, hi units.Watts) {
+func (n *NodeMeasure) CapRange(c Constraints) (lo, hi units.Watts) {
 	lo, hi = c.MinCap, c.MaxCap
 	if n.MinCap > 0 {
 		lo = n.MinCap
@@ -237,7 +237,8 @@ func EvenSplit(c Constraints, nodes int) units.Watts {
 // with an invalid role panics with the offending value rather than
 // being silently folded into a partition.
 func partitionTotals(nodes []NodeMeasure) (simT, anaT units.Seconds, simP, anaP units.Watts, nSim, nAna int) {
-	for i, n := range nodes {
+	for i := range nodes {
+		n := &nodes[i]
 		if !n.Role.Valid() {
 			panic(fmt.Sprintf("core: measurement %d (node id %d) has invalid role %d", i, n.NodeID, int(n.Role)))
 		}
@@ -371,7 +372,8 @@ func expandPartitionCapsInto(buf []units.Watts, nodes []NodeMeasure, pS, pA unit
 		buf = make([]units.Watts, len(nodes))
 	}
 	caps := buf[:len(nodes)]
-	for i, n := range nodes {
+	for i := range nodes {
+		n := &nodes[i]
 		switch {
 		case n.Health == Dead:
 			caps[i] = 0

@@ -47,6 +47,11 @@ type PowerAware struct {
 	cfg        PowerAwareConfig
 	sinceAlloc int
 	allocs     int
+
+	// caps backs the returned caps slice (Policy ownership contract:
+	// valid until the next Allocate); needy is per-call scratch.
+	caps  []units.Watts
+	needy []int
 }
 
 // NewPowerAware returns a power-aware allocator.
@@ -85,13 +90,19 @@ func (p *PowerAware) Allocate(step int, nodes []NodeMeasure) []units.Watts {
 
 	c := p.cfg.Constraints
 	het := heteroNodes(nodes)
-	caps := make([]units.Watts, len(nodes))
-	needy := make([]int, 0, len(nodes))
+	if cap(p.caps) < len(nodes) {
+		p.caps = make([]units.Watts, len(nodes))
+		p.needy = make([]int, 0, len(nodes))
+	}
+	caps := p.caps[:len(nodes)]
+	needy := p.needy[:0]
 	alive := 0
-	for i, n := range nodes {
+	for i := range nodes {
+		n := &nodes[i]
 		if n.Health == Dead {
 			// Dead nodes hold no cap; their budget share returns to
 			// the survivors in the re-anchor pass below.
+			caps[i] = 0
 			continue
 		}
 		alive++
@@ -110,7 +121,8 @@ func (p *PowerAware) Allocate(step int, nodes []NodeMeasure) []units.Watts {
 	}
 
 	var pool units.Watts
-	for i, n := range nodes {
+	for i := range nodes {
+		n := &nodes[i]
 		if n.Health == Dead || n.Power >= n.Cap-p.cfg.AtCapMargin {
 			continue
 		}
@@ -128,8 +140,8 @@ func (p *PowerAware) Allocate(step int, nodes []NodeMeasure) []units.Watts {
 	// (a dead node's former share) joins the pool, bounded by what the
 	// survivors can absorb under delta_max.
 	var capTotal units.Watts
-	for i, n := range nodes {
-		if n.Health != Dead {
+	for i := range nodes {
+		if nodes[i].Health != Dead {
 			capTotal += caps[i]
 		}
 	}
@@ -137,11 +149,11 @@ func (p *PowerAware) Allocate(step int, nodes []NodeMeasure) []units.Watts {
 		maxTotal := c.MaxCap * units.Watts(alive)
 		if het {
 			maxTotal = 0
-			for _, n := range nodes {
-				if n.Health == Dead {
+			for i := range nodes {
+				if nodes[i].Health == Dead {
 					continue
 				}
-				_, nHi := n.CapRange(c)
+				_, nHi := nodes[i].CapRange(c)
 				maxTotal += nHi
 			}
 		}
@@ -160,11 +172,11 @@ func (p *PowerAware) Allocate(step int, nodes []NodeMeasure) []units.Watts {
 			// by each node's own ceiling.
 			var wsum float64
 			for _, i := range needy {
-				wsum += weightOf(nodes[i])
+				wsum += weightOf(&nodes[i])
 			}
 			pool0 := pool
 			for _, i := range needy {
-				grant := units.Watts(float64(pool0) * weightOf(nodes[i]) / wsum)
+				grant := units.Watts(float64(pool0) * weightOf(&nodes[i]) / wsum)
 				_, nHi := nodes[i].CapRange(c)
 				if room := nHi - caps[i]; grant > room {
 					grant = room
@@ -191,11 +203,11 @@ func (p *PowerAware) Allocate(step int, nodes []NodeMeasure) []units.Watts {
 	// needy nodes at all) is returned evenly so the budget isn't leaked.
 	if pool > 0 {
 		share := pool / units.Watts(alive)
-		for i, n := range nodes {
-			if n.Health == Dead {
+		for i := range nodes {
+			if nodes[i].Health == Dead {
 				continue
 			}
-			nLo, nHi := n.CapRange(c)
+			nLo, nHi := nodes[i].CapRange(c)
 			caps[i] = units.ClampWatts(caps[i]+share, nLo, nHi)
 		}
 	}

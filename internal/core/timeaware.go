@@ -56,6 +56,11 @@ type TimeAware struct {
 	step units.Watts
 
 	allocs int
+
+	// caps backs the returned caps slice (Policy ownership contract:
+	// valid until the next Allocate); slow is per-call scratch.
+	caps []units.Watts
+	slow []int
 }
 
 // NewTimeAware returns a time-aware allocator.
@@ -101,7 +106,7 @@ func (t *TimeAware) Allocate(step int, nodes []NodeMeasure) []units.Watts {
 	c := t.cfg.Constraints
 
 	// The balancer sees epoch (loop-iteration) times where available.
-	timeOf := func(n NodeMeasure) units.Seconds {
+	timeOf := func(n *NodeMeasure) units.Seconds {
 		if n.EpochTime > 0 {
 			return n.EpochTime
 		}
@@ -112,7 +117,8 @@ func (t *TimeAware) Allocate(step int, nodes []NodeMeasure) []units.Watts {
 	// Dead nodes report no time and never set the target.
 	var maxT units.Seconds
 	alive := 0
-	for _, n := range nodes {
+	for i := range nodes {
+		n := &nodes[i]
 		if n.Health == Dead {
 			continue
 		}
@@ -126,13 +132,19 @@ func (t *TimeAware) Allocate(step int, nodes []NodeMeasure) []units.Watts {
 	}
 	target := units.Seconds(float64(maxT) * (1 - t.cfg.TargetSlack))
 
-	caps := make([]units.Watts, len(nodes))
+	if cap(t.caps) < len(nodes) {
+		t.caps = make([]units.Watts, len(nodes))
+		t.slow = make([]int, 0, len(nodes))
+	}
+	caps := t.caps[:len(nodes)]
 	var pool units.Watts
-	slow := make([]int, 0, len(nodes))
-	for i, n := range nodes {
+	slow := t.slow[:0]
+	for i := range nodes {
+		n := &nodes[i]
 		if n.Health == Dead {
 			// Dead nodes hold no cap; their former share re-enters
 			// the pool below.
+			caps[i] = 0
 			continue
 		}
 		caps[i] = n.Cap
@@ -155,8 +167,8 @@ func (t *TimeAware) Allocate(step int, nodes []NodeMeasure) []units.Watts {
 	// node's former share) joins the pool, bounded by what the
 	// survivors can absorb under delta_max.
 	var capTotal units.Watts
-	for i, n := range nodes {
-		if n.Health != Dead {
+	for i := range nodes {
+		if nodes[i].Health != Dead {
 			capTotal += caps[i]
 		}
 	}
@@ -164,11 +176,11 @@ func (t *TimeAware) Allocate(step int, nodes []NodeMeasure) []units.Watts {
 		maxTotal := c.MaxCap * units.Watts(alive)
 		if heteroNodes(nodes) {
 			maxTotal = 0
-			for _, n := range nodes {
-				if n.Health == Dead {
+			for i := range nodes {
+				if nodes[i].Health == Dead {
 					continue
 				}
-				_, nHi := n.CapRange(c)
+				_, nHi := nodes[i].CapRange(c)
 				maxTotal += nHi
 			}
 		}
@@ -199,11 +211,11 @@ func (t *TimeAware) Allocate(step int, nodes []NodeMeasure) []units.Watts {
 	// equally."
 	if pool > 0 {
 		share := pool / units.Watts(alive)
-		for i, n := range nodes {
-			if n.Health == Dead {
+		for i := range nodes {
+			if nodes[i].Health == Dead {
 				continue
 			}
-			nLo, nHi := n.CapRange(c)
+			nLo, nHi := nodes[i].CapRange(c)
 			caps[i] = units.ClampWatts(caps[i]+share, nLo, nHi)
 		}
 	}

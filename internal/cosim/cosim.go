@@ -96,7 +96,7 @@ type Config struct {
 	// first node of each partition so power traces can be resampled
 	// (Figure 1).
 	TraceSegments bool
-	// NoNoiseMemo disables the per-node noise-trace memoization
+	// NoNoiseMemo disables the job's noise-trace memoization
 	// (jobstate.go): episodes draw every jitter variate live from the
 	// node streams instead of replaying the recorded trace. Replay is
 	// byte-identical by construction (the rollout goldens pin it); the
@@ -191,7 +191,8 @@ const epochWaitShare = 0.8
 func buildRecord(step int, measures []core.NodeMeasure, nSim int, overhead units.Seconds) trace.SyncRecord {
 	rec := trace.SyncRecord{Step: step, Overhead: overhead}
 	var nS, nA int
-	for _, m := range measures {
+	for i := range measures {
+		m := &measures[i]
 		if m.Health == core.Dead {
 			continue // corpses carry no time or power
 		}

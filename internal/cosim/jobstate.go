@@ -23,6 +23,7 @@ import (
 	"seesaw/internal/core"
 	"seesaw/internal/machine"
 	"seesaw/internal/mpi"
+	"seesaw/internal/rng"
 	"seesaw/internal/trace"
 	"seesaw/internal/units"
 )
@@ -58,13 +59,33 @@ type JobState struct {
 	overhead           units.Seconds
 	nSim, nAna, nTotal int
 
-	// noiseTraces[i] is node i's recorded jitter-draw sequence — the
-	// standard normals its Box-Muller stream produces over one episode,
-	// recorded once per job and replayed read-only by every Episode (nil
-	// when memoization is off: faulted, traced or NoNoiseMemo jobs).
+	// noise is the job's recorded jitter draws — the standard normals
+	// every node's Box-Muller stream produces over one episode, recorded
+	// once per job and replayed read-only by every Episode (nil when
+	// memoization is off: faulted, traced or NoNoiseMemo jobs). It is
+	// interval-major: noise[k] holds interval k's draws as one
+	// contiguous run, which the window loop reads front to back.
 	// traceBytes is their storage footprint, for cache size accounting.
-	noiseTraces [][]float64
-	traceBytes  int64
+	noise      []noiseWindow
+	traceBytes int64
+}
+
+// noiseWindow is one interval's recorded draws: every simulation node's
+// sim draws in node order, then every analysis node's ana draws. A
+// partition's per-node count is uniform because every node of a
+// partition executes the same raw phase table, and device adaptation
+// rescales a nominal duration but never zeroes it, so each node draws
+// for the same phases whatever its class. The counts must be exact,
+// because the windows are positional: an under-count makes the node
+// read past its window, which panics, but an over-count leaves draws
+// unread, so the node's later windows drift from its live stream with
+// no error (only TestNoiseMemoGolden catches that). Each interval is an
+// allocation of its own (about 70 KiB at 1024 nodes): one job-sized
+// block (28 MiB) cannot reuse heap pages that smaller allocations have
+// fragmented, and it raised the search benchmark's resident set by 9%.
+type noiseWindow struct {
+	draws    []float64
+	sim, ana int
 }
 
 // NewJobState validates the workload and precomputes the job's
@@ -132,44 +153,50 @@ func NewJobState(cfg Config) (*JobState, error) {
 	return st, nil
 }
 
-// recordNoiseTraces records each node's per-episode jitter-draw
-// sequence. The draw count is derived from the same phase tables the
-// episodes execute: one draw per non-empty phase execution, plus one
-// for the power-reading ripple when PowerSigma is active. Device
-// adaptation rescales a nominal duration but never zeroes it, so the
-// raw tables count for every device class.
+// recordNoiseTraces records the job's per-episode jitter draws in one
+// interval-major pass, holding one live jitter stream per node. The
+// per-interval draw counts come from the same raw phase tables the
+// episodes execute: one draw per phase with a non-zero nominal, plus
+// one for the power-reading ripple when PowerSigma is active.
 func (st *JobState) recordNoiseTraces() {
 	perExec := 1
 	if st.cfg.Noise.PowerSigma > 0 {
 		perExec = 2
 	}
-	countDraws := func(tables [][]machine.Phase) int {
+	countDraws := func(phs []machine.Phase) int {
 		n := 0
-		for _, phs := range tables {
-			for i := range phs {
-				if phs[i].Nominal != 0 {
-					n += perExec
-				}
+		for i := range phs {
+			if phs[i].Nominal != 0 {
+				n += perExec
 			}
 		}
 		return n
 	}
-	drawsSim := countDraws(st.simPhases)
-	drawsAna := countDraws(st.anaPhases)
 	// The cluster layer falls back to the job seed when no run seed is
 	// configured; the recorder must mirror that to tap the same streams.
 	runSeed := st.cfg.RunSeed
 	if runSeed == 0 {
 		runSeed = st.cfg.Seed
 	}
-	st.noiseTraces = make([][]float64, st.nTotal)
-	for i := range st.noiseTraces {
-		draws := drawsSim
-		if i >= st.nSim {
-			draws = drawsAna
+	streams := make([]rng.Stream, st.nTotal)
+	for i := range streams {
+		streams[i] = *machine.JitterStream(runSeed, i)
+	}
+	st.noise = make([]noiseWindow, len(st.schedule))
+	for k := range st.noise {
+		w := noiseWindow{sim: countDraws(st.simPhases[k]), ana: countDraws(st.anaPhases[k])}
+		w.draws = make([]float64, st.nSim*w.sim+st.nAna*w.ana)
+		o := 0
+		for i := range streams {
+			c := w.sim
+			if i >= st.nSim {
+				c = w.ana
+			}
+			streams[i].FillNorm(w.draws[o : o+c])
+			o += c
 		}
-		st.noiseTraces[i] = machine.JitterTrace(runSeed, i, draws)
-		st.traceBytes += int64(draws) * 8
+		st.noise[k] = w
+		st.traceBytes += int64(len(w.draws)) * 8
 	}
 }
 
@@ -279,14 +306,6 @@ func (st *JobState) NewEpisode() (*Episode, error) {
 			byModel[m] = tb
 		}
 		nodeSim[i], nodeAna[i] = tb.sim, tb.ana
-	}
-	// Memoized jobs replay the recorded draw sequences: the node reads
-	// its shared trace slice instead of advancing its live Box-Muller
-	// stream, and cluster.Reset rewinds the replay cursor per episode.
-	if st.noiseTraces != nil {
-		for i := 0; i < cl.Size(); i++ {
-			cl.Node(i).SetNoiseTrace(st.noiseTraces[i])
-		}
 	}
 	return &Episode{
 		st:         st,
@@ -402,6 +421,13 @@ func (ep *Episode) Run(ctx context.Context, prm EpisodeParams) (*Result, error) 
 
 		simPhases := st.simPhases[syncIdx]
 		anaPhases := st.anaPhases[syncIdx]
+		// Memoized jobs hand each node its window of the interval's
+		// recorded draws; o walks the interval's run front to back.
+		var win noiseWindow
+		if st.noise != nil {
+			win = st.noise[syncIdx]
+		}
+		o := 0
 
 		// 1. Execute every live node's interval.
 		for i := 0; i < nTotal; i++ {
@@ -414,9 +440,17 @@ func (ep *Episode) Run(ctx context.Context, prm EpisodeParams) (*Result, error) 
 			if fast {
 				// Pre-adapted tables: no per-execution adaptation, no
 				// Phase copy, no fault work-scaling (scale is 1).
-				phases := ep.nodeSim[i][syncIdx]
+				phases, c := ep.nodeSim[i][syncIdx], win.sim
 				if cl.Role(i) == core.RoleAnalysis {
-					phases = ep.nodeAna[i][syncIdx]
+					phases, c = ep.nodeAna[i][syncIdx], win.ana
+				}
+				if st.noise != nil {
+					// The window's length and capacity end where the
+					// next node's draws begin, so an over-read panics
+					// instead of consuming them. An over-counted
+					// window is not caught here (see noiseWindow).
+					n.SetNoiseTrace(win.draws[o : o+c : o+c])
+					o += c
 				}
 				for k := range phases {
 					t += n.RunAdapted(&phases[k], &cfg.Noise).Duration

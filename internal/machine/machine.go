@@ -275,7 +275,7 @@ func NewNodeWithSeeds(id int, cfg rapl.Config, model Model, noise NoiseModel, jo
 	effStream := rng.DeriveIndexed(jobSeed, "node-poweff", id)
 	runStream := rng.DeriveIndexed(runSeed, "node-runskew", id)
 	dualStream := rng.DeriveIndexed(runSeed, "node-dualskew", id)
-	jitter := rng.DeriveIndexed(runSeed, "node-jitter", id)
+	jitter := JitterStream(runSeed, id)
 	return &Node{
 		id:          id,
 		rapl:        rapl.MustNewDomain(cfg),
@@ -305,11 +305,18 @@ func (n *Node) Reset() {
 }
 
 // SetNoiseTrace installs a recorded standard-normal draw sequence for
-// this node: subsequent phase executions consume trace entries instead
-// of advancing the live jitter stream, producing bit-identical jitter
-// factors (the trace entries are the Norm values the stream would have
-// drawn — see JitterTrace). Reset rewinds the replay cursor, so a
-// pooled node replays the same trace every episode. nil reverts to the
+// this node: subsequent phase executions consume trace entries from
+// its start instead of advancing the live jitter stream, producing
+// bit-identical jitter factors (the trace entries are the Norm values
+// the stream would have drawn — see JitterTrace). Reset rewinds the
+// replay cursor, so a node given a whole-episode trace replays it every
+// episode. A driver may instead install one window per interval, just
+// before the node runs that interval's phases. Reading past the
+// installed slice panics, so a window that ends (in length and
+// capacity) where the next node's draws begin keeps an under-count
+// from consuming them. An over-counted window is not detected: the
+// node leaves draws unread and its later windows drift from its live
+// stream, so per-interval counts must be exact. nil reverts to the
 // live stream. The slice is read, never written; callers may share one
 // trace across any number of nodes' replays concurrently.
 func (n *Node) SetNoiseTrace(t []float64) {
@@ -319,7 +326,7 @@ func (n *Node) SetNoiseTrace(t []float64) {
 
 // nextNorm returns the node's next standard-normal noise draw: the
 // next trace entry under replay, or a live Box-Muller draw otherwise.
-// A replay past the recorded length panics — the trace length is
+// A replay past the installed trace panics — the trace length is
 // derived from the same phase tables the episode executes, so running
 // out is a driver accounting bug, not a recoverable condition.
 func (n *Node) nextNorm() float64 {
@@ -331,14 +338,21 @@ func (n *Node) nextNorm() float64 {
 	return n.jitter.Norm()
 }
 
+// JitterStream derives node id's jitter stream under runSeed: the
+// stream a node built by NewNodeWithSeeds(id, ..., runSeed) draws its
+// per-phase noise from. The wiring (stream label and derivation) lives
+// here alone, so recorders that hold one live stream per node can never
+// drift from the live path.
+func JitterStream(runSeed uint64, id int) *rng.Stream {
+	return rng.DeriveIndexed(runSeed, "node-jitter", id)
+}
+
 // JitterTrace records the first draws standard normals of node id's
 // jitter stream under runSeed — exactly the sequence a node built by
 // NewNodeWithSeeds(id, ..., runSeed) consumes while executing phases.
-// The wiring (stream label and derivation) lives here so the recorder
-// can never drift from the live path.
 func JitterTrace(runSeed uint64, id, draws int) []float64 {
 	out := make([]float64, draws)
-	rng.DeriveIndexed(runSeed, "node-jitter", id).FillNorm(out)
+	JitterStream(runSeed, id).FillNorm(out)
 	return out
 }
 

@@ -300,3 +300,69 @@ func TestSetSlowFactorPanicsOnNonPositive(t *testing.T) {
 		}()
 	}
 }
+
+// TestNoiseTraceReplay pins the replay primitive the noise memo rests
+// on: a node fed its own JitterTrace reproduces a live node's
+// executions bit for bit, whether the trace is installed whole or one
+// window per interval, and reading past an installed window panics.
+func TestNoiseTraceReplay(t *testing.T) {
+	noise := DefaultNoise()
+	const id, jobSeed, runSeed = 2, 7, 9
+	// Throttled and unthrottled phases: the sigma differs, the draws do
+	// not. Every execution takes two draws (jitter, power ripple).
+	phases := []Phase{computePhase(1), commPhase(0.5), computePhase(0.25)}
+	const intervals = 6
+	draws := 2 * len(phases) * intervals
+
+	run := func(n *Node, perInterval []float64) []Execution {
+		n.RAPL().SetLongCap(110)
+		n.Idle(0.02)
+		var out []Execution
+		for k := 0; k < intervals; k++ {
+			if perInterval != nil {
+				o, c := k*2*len(phases), 2*len(phases)
+				n.SetNoiseTrace(perInterval[o : o+c : o+c])
+			}
+			for _, ph := range phases {
+				out = append(out, n.Run(ph, noise))
+			}
+		}
+		return out
+	}
+	live := run(DefaultNodeWithSeeds(id, noise, jobSeed, runSeed), nil)
+
+	trace := JitterTrace(runSeed, id, draws)
+	whole := DefaultNodeWithSeeds(id, noise, jobSeed, runSeed)
+	whole.SetNoiseTrace(trace)
+	windowed := DefaultNodeWithSeeds(id, noise, jobSeed, runSeed)
+	for name, got := range map[string][]Execution{
+		"whole":    run(whole, nil),
+		"windowed": run(windowed, trace),
+	} {
+		for i := range live {
+			if got[i] != live[i] {
+				t.Fatalf("%s replay diverges from live draws at execution %d: %+v vs %+v", name, i, got[i], live[i])
+			}
+		}
+	}
+
+	// A reset node replays its whole trace again from the start.
+	whole.Reset()
+	again := run(whole, nil)
+	for i := range live {
+		if again[i] != live[i] {
+			t.Fatalf("replay after Reset diverges at execution %d: %+v vs %+v", i, again[i], live[i])
+		}
+	}
+
+	defer func() {
+		if recover() == nil {
+			t.Error("reading past the installed window did not panic")
+		}
+	}()
+	n := DefaultNodeWithSeeds(id, noise, jobSeed, runSeed)
+	// One execution's worth of draws, then a second execution.
+	n.SetNoiseTrace(trace[0:2:2])
+	n.Run(phases[0], noise)
+	n.Run(phases[0], noise)
+}

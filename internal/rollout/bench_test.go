@@ -74,7 +74,7 @@ func BenchmarkRolloutsFresh(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if _, err := Run(context.Background(), spec, pol); err != nil {
+				if _, err := NewEnv().Rollout(context.Background(), spec, pol); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -258,10 +258,3 @@ func runWorkflow(ctx context.Context, spec Spec, pol core.Policy) (*Result, erro
 		Workflow:    res,
 	}, nil
 }
-
-// Run drives one full episode of spec with pol on a throwaway Env. It
-// is the one-shot rollout primitive; batched callers hold an Env (or
-// use Batch) to amortize episode state.
-func Run(ctx context.Context, spec Spec, pol core.Policy) (*Result, error) {
-	return NewEnv().Rollout(ctx, spec, pol)
-}

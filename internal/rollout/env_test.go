@@ -78,7 +78,7 @@ func TestEnvByteIdenticalToInLoopCosim(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			envRes, err := Run(context.Background(), spec, envPol)
+			envRes, err := NewEnv().Rollout(context.Background(), spec, envPol)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -135,7 +135,7 @@ func TestEnvByteIdenticalToInLoopWorkflow(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			envRes, err := Run(context.Background(), spec, envPol)
+			envRes, err := NewEnv().Rollout(context.Background(), spec, envPol)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -154,40 +154,73 @@ func TestEnvByteIdenticalToInLoopWorkflow(t *testing.T) {
 // TestNoiseMemoGolden pins the memoization contract end to end: a
 // memoized episode (noise trace recorded once, replayed thereafter) is
 // byte-identical to the same spec with NoNoiseMemo — every jitter
-// variate drawn live from the node streams.
+// variate drawn live from the node streams. The cases vary what the
+// interval-major trace windows depend on: draws per execution,
+// per-interval and per-partition phase counts (a trailing interval with
+// no analysis, analyses due on different steps) and device classes.
 func TestNoiseMemoGolden(t *testing.T) {
-	spec := testSpec("", t)
-	spec.Faults = nil // fault-free so the memo path actually engages
-	n := spec.Workload.SimNodes + spec.Workload.AnaNodes
-
-	run := func(s Spec) *Result {
-		t.Helper()
-		env := NewEnv()
-		// Two rollouts: the second replays the recorded trace (or, with
-		// NoNoiseMemo, redraws live) over the pooled episode.
-		var res *Result
-		for i := 0; i < 2; i++ {
-			pol, err := policy.New("seesaw", s.constraints(n), 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res, err = env.Rollout(context.Background(), s, pol); err != nil {
-				t.Fatal(err)
-			}
+	cases := []struct {
+		name string
+		edit func(*Spec)
+	}{
+		{"msd", func(*Spec) {}},
+		// One draw per execution: no power-reading ripple.
+		{"power-sigma-0", func(s *Spec) { s.Noise.PowerSigma = 0 }},
+		// Syncs at 3, 6, ..., 30, then a trailing interval (step 31)
+		// with no analysis phases.
+		{"j3-steps31", func(s *Spec) { s.Workload.J, s.Workload.Steps = 3, 31 }},
+		// rdf at every step, msd on every fourth.
+		{"mixed-intervals", func(s *Spec) {
+			s.Workload.Analyses = []workload.AnalysisTask{{Name: "rdf", Interval: 1}, {Name: "msd", Interval: 4}}
+		}},
+		{"classes", func(s *Spec) { s.Classes = machine.MustParseClassMap("1-2:gpu,5-6:lowpower") }},
+	}
+	for _, tc := range cases {
+		spec := testSpec("", t)
+		spec.Faults = nil // fault-free so the memo path actually engages
+		tc.edit(&spec)
+		n := spec.Workload.SimNodes + spec.Workload.AnaNodes
+		st, err := NewStateCache().state(spec.jobKey(), spec.cosimConfig(nil))
+		if err != nil {
+			t.Fatal(err)
 		}
-		return res
-	}
+		if st.TraceBytes() == 0 {
+			t.Fatalf("%s: job records no noise trace; the memo path is not under test", tc.name)
+		}
+		for _, name := range []string{"seesaw", "time-aware", "power-aware", "static"} {
+			t.Run(tc.name+"/"+name, func(t *testing.T) {
+				run := func(s Spec) *Result {
+					t.Helper()
+					env := NewEnv()
+					// Two rollouts: the second replays the recorded trace
+					// (or, with NoNoiseMemo, redraws live) over the pooled
+					// episode.
+					var res *Result
+					for i := 0; i < 2; i++ {
+						pol, err := policy.New(name, s.constraints(n), 1)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if res, err = env.Rollout(context.Background(), s, pol); err != nil {
+							t.Fatal(err)
+						}
+					}
+					return res
+				}
 
-	memo := run(spec)
-	live := spec
-	live.NoNoiseMemo = true
-	liveRes := run(live)
+				memo := run(spec)
+				live := spec
+				live.NoNoiseMemo = true
+				liveRes := run(live)
 
-	if memo.TotalTime != liveRes.TotalTime || memo.TotalEnergy != liveRes.TotalEnergy {
-		t.Error("memoized totals diverge from live draws")
-	}
-	if !bytes.Equal(syncCSV(t, memo.SyncLog), syncCSV(t, liveRes.SyncLog)) {
-		t.Error("memoized SyncLog diverges from live draws")
+				if memo.TotalTime != liveRes.TotalTime || memo.TotalEnergy != liveRes.TotalEnergy {
+					t.Error("memoized totals diverge from live draws")
+				}
+				if !bytes.Equal(syncCSV(t, memo.SyncLog), syncCSV(t, liveRes.SyncLog)) {
+					t.Error("memoized SyncLog diverges from live draws")
+				}
+			})
+		}
 	}
 }
 

@@ -69,7 +69,7 @@ func TestEnvPooledMatchesFresh(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		baseline, err := Run(context.Background(), spec, baselinePol)
+		baseline, err := NewEnv().Rollout(context.Background(), spec, baselinePol)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -109,7 +109,7 @@ func TestEnvPooledAcrossEpisodeParams(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := Run(context.Background(), spec, pol)
+		res, err := NewEnv().Rollout(context.Background(), spec, pol)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -138,16 +138,17 @@ func TestEnvPooledAcrossEpisodeParams(t *testing.T) {
 	}
 }
 
-// TestStepZeroAllocs is the fast path's allocation gate: a pooled
+// TestRolloutZeroAllocs is the fast path's allocation gate: a pooled
 // Env.Rollout allocates a fixed number of objects per episode (policy,
-// result, sync-log backing) and none per step, so ten times the steps
-// must not cost a single extra allocation. Time-aware and power-aware
-// allocate inside every Allocate and are left out.
-func TestStepZeroAllocs(t *testing.T) {
+// result, sync-log backing) and none per synchronization, so ten times
+// the steps must not cost a single extra allocation. It covers every
+// policy the search benchmark runs; the adaptive ones keep their caps
+// in scratch reused across Allocate calls.
+func TestRolloutZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's runtime perturbs allocation counts")
 	}
-	for _, name := range []string{"seesaw", "static"} {
+	for _, name := range []string{"seesaw", "time-aware", "power-aware", "static"} {
 		t.Run(name, func(t *testing.T) {
 			allocs := func(steps int) float64 {
 				spec := Spec{
@@ -225,7 +226,7 @@ func TestEnvPooledHammer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := Run(context.Background(), spec, pol)
+	want, err := NewEnv().Rollout(context.Background(), spec, pol)
 	if err != nil {
 		t.Fatal(err)
 	}
