@@ -1,7 +1,7 @@
 # Tier-1 gate: everything `make check` runs must stay green.
 GO ?= go
 
-.PHONY: all build check fmt vet staticcheck test race bench bench-scale bench-scale-profile bench-scale-smoke bench-rollouts bench-rollouts-profile memo-golden-smoke batch-race-smoke bench-smoke clean
+.PHONY: all build check fmt vet staticcheck test race bench bench-scale bench-scale-profile bench-scale-smoke bench-rollouts bench-rollouts-profile memo-golden-smoke batch-race-smoke fuzz-smoke bench-smoke clean
 
 all: build
 
@@ -11,9 +11,9 @@ build:
 # check is the tier-1 gate: formatting, vet, staticcheck (when
 # installed), the full suite under the race detector (the telemetry
 # hub and the insitu driver are concurrent by design), a single-
-# iteration pass over the scale benchmarks so they cannot rot, and a
-# vet of the benchmark module.
-check: fmt vet staticcheck race bench-scale-smoke memo-golden-smoke batch-race-smoke bench-smoke
+# iteration pass over the scale benchmarks so they cannot rot, a short
+# run of each fuzz target, and a vet of the benchmark module.
+check: fmt vet staticcheck race bench-scale-smoke memo-golden-smoke batch-race-smoke fuzz-smoke bench-smoke
 
 fmt:
 	@out="$$(gofmt -l .)"; \
@@ -124,6 +124,15 @@ memo-golden-smoke:
 # the campaign pool all on the hot path at real concurrency.
 batch-race-smoke:
 	$(GO) test -race -run xxx -bench 'BenchmarkRolloutsBatch/nodes=256/jobs=4' -benchtime 1x ./internal/rollout/
+
+# fuzz-smoke runs each native fuzz target for a few seconds: the fault
+# plan grammar (-faults, jobfile "faults") and the device class-map
+# grammar (-classes, jobfile "classes"). `go test` already replays
+# their seed corpora; this explores beyond them. -fuzz takes one
+# target per run, hence one line per target.
+fuzz-smoke:
+	$(GO) test -run xxx -fuzz '^FuzzParse$$' -fuzztime 3s ./internal/fault/
+	$(GO) test -run xxx -fuzz '^FuzzParseClassMap$$' -fuzztime 3s ./internal/machine/
 
 # bench-smoke vets the benchmark module (benchmark/, a module of its
 # own that builds against this one through a replace directive). Vet

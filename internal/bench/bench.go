@@ -239,52 +239,6 @@ func runCell(ctx context.Context, c cell) (*cosim.Result, error) {
 	})
 }
 
-// medianImprovement runs `runs` jobs of the policy and the static
-// baseline with identical placement per job (the paper's pairing,
-// Section VII-A) and returns the median % runtime improvement over the
-// static baseline, along with the median policy slack.
-func medianImprovement(ctx context.Context, c cell, runs int, baseSeed uint64) (impPct float64, slack float64, err error) {
-	imps := make([]float64, 0, runs)
-	slacks := make([]float64, 0, runs)
-	for r := 0; r < runs; r++ {
-		p, err := pairedRun(ctx, c, baseSeed+uint64(r)*defaultSeedGap)
-		if err != nil {
-			return 0, 0, err
-		}
-		imps = append(imps, p.imp)
-		slacks = append(slacks, p.slack)
-	}
-	return median(imps), median(slacks), nil
-}
-
-// pairedOut is one paired policy-vs-static repeat.
-type pairedOut struct {
-	imp   float64
-	slack float64
-}
-
-// pairedRun executes one paired comparison: the policy job and the
-// static baseline with identical placement (seed), returning the %
-// improvement and the policy run's mean slack.
-func pairedRun(ctx context.Context, c cell, seed uint64) (pairedOut, error) {
-	c.jobSeed = seed
-	c.runSeed = seed + 1
-	res, err := runCell(ctx, c)
-	if err != nil {
-		return pairedOut{}, err
-	}
-	sc := c
-	sc.policy = "static"
-	base, err := runCell(ctx, sc)
-	if err != nil {
-		return pairedOut{}, err
-	}
-	return pairedOut{
-		imp:   improvementPct(base.TotalTime, res.TotalTime),
-		slack: res.SyncLog.MeanSlackFrom(slackFromStep),
-	}, nil
-}
-
 // enum accumulates one experiment's campaign cells. Experiments run in
 // three phases: enumerate every independent job as a cell (addCell,
 // paired), execute them all on the worker pool (run), then render the
@@ -293,9 +247,14 @@ type enum struct {
 	name  string
 	cells []campaign.Cell
 	res   []campaign.Result
+	// baselines maps baselineKey of a static baseline job to the getter
+	// of the one cell that runs it.
+	baselines map[string]func() units.Seconds
 }
 
-func newEnum(name string) *enum { return &enum{name: name} }
+func newEnum(name string) *enum {
+	return &enum{name: name, baselines: map[string]func() units.Seconds{}}
+}
 
 // run executes the enumerated cells with concurrency o.Jobs. After it
 // returns nil, every getter is ready.
@@ -326,26 +285,77 @@ func addCell[T any](e *enum, key string, seed uint64, fn func(ctx context.Contex
 	}
 }
 
-// paired enumerates one cell per repeat of the paper's paired
-// policy-vs-static comparison and returns a getter for the median
-// improvement and slack across the repeats.
+// paired enumerates each repeat of the paper's paired policy-vs-static
+// comparison (Section VII-A) and returns a getter for the median
+// improvement over the static baseline and the median policy slack
+// across the repeats. Repeat r runs job seed baseSeed+r*defaultSeedGap
+// and run seed one above it. Only the policy job is a cell of its own:
+// the repeat's static baseline comes from baseline, so every policy and
+// window the experiment pairs with the same job shares one baseline
+// cell.
 func (e *enum) paired(keyPrefix string, c cell, runs int, baseSeed uint64) func() (imp, slack float64) {
-	getters := make([]func() pairedOut, runs)
+	type policyOut struct {
+		total units.Seconds
+		slack float64
+	}
+	pols := make([]func() policyOut, runs)
+	bases := make([]func() units.Seconds, runs)
 	for r := 0; r < runs; r++ {
-		seed := baseSeed + uint64(r)*defaultSeedGap
-		getters[r] = addCell(e, fmt.Sprintf("%s/r%d", keyPrefix, r), seed,
-			func(ctx context.Context) (pairedOut, error) { return pairedRun(ctx, c, seed) })
+		rc := c
+		rc.jobSeed = baseSeed + uint64(r)*defaultSeedGap
+		rc.runSeed = rc.jobSeed + 1
+		key := fmt.Sprintf("%s/r%d", keyPrefix, r)
+		bases[r] = e.baseline(key+"/static", rc)
+		pols[r] = addCell(e, key, rc.jobSeed, func(ctx context.Context) (policyOut, error) {
+			res, err := runCell(ctx, rc)
+			if err != nil {
+				return policyOut{}, err
+			}
+			return policyOut{res.TotalTime, res.SyncLog.MeanSlackFrom(slackFromStep)}, nil
+		})
 	}
 	return func() (float64, float64) {
 		imps := make([]float64, runs)
 		slacks := make([]float64, runs)
-		for r, g := range getters {
+		for r, g := range pols {
 			p := g()
-			imps[r] = p.imp
+			imps[r] = improvementPct(bases[r](), p.total)
 			slacks[r] = p.slack
 		}
 		return median(imps), median(slacks)
 	}
+}
+
+// baseline returns a getter for the runtime of job c under the static
+// policy. The first request for a job enumerates its cell under key;
+// later requests for the same job share that cell.
+func (e *enum) baseline(key string, c cell) func() units.Seconds {
+	k := baselineKey(c)
+	if g, ok := e.baselines[k]; ok {
+		return g
+	}
+	c.policy, c.window = "static", 1
+	g := addCell(e, key, c.jobSeed, func(ctx context.Context) (units.Seconds, error) {
+		res, err := runCell(ctx, c)
+		if err != nil {
+			return 0, err
+		}
+		return res.TotalTime, nil
+	})
+	e.baselines[k] = g
+	return g
+}
+
+// baselineKey identifies the static baseline of job c. It renders every
+// cell field, so two jobs that differ anywhere but policy and window
+// never share a baseline. Those two are fixed: the baseline's policy is
+// static by definition, and the static factory ignores the window.
+// Pointer fields render as addresses. That is sound because the
+// baseline cell keeps its pointers alive, so no address can be reused
+// for another value while its key is in the map.
+func baselineKey(c cell) string {
+	c.policy, c.window = "static", 1
+	return fmt.Sprintf("%#v", c)
 }
 
 // improvementPct is (base - x)/base in percent: positive = faster than

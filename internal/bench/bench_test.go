@@ -3,10 +3,14 @@ package bench
 import (
 	"bytes"
 	"context"
+	"io"
+	"reflect"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"seesaw/internal/core"
+	"seesaw/internal/telemetry"
 	"seesaw/internal/units"
 	"seesaw/internal/workload"
 )
@@ -131,17 +135,92 @@ func TestSpecHelpers(t *testing.T) {
 }
 
 func TestMedianImprovementPairsJobs(t *testing.T) {
-	// The improvement of a policy against itself must be ~0: paired
-	// seeds mean the static baseline shares the job's placement.
-	imp, _, err := medianImprovement(context.Background(), cell{
-		spec:   specAt(8, 16, 1, 30, testTasks()),
-		policy: "static",
-	}, 2, 7)
-	if err != nil {
+	// The improvement of a policy against itself must be exactly 0:
+	// paired seeds mean the static baseline shares the job's placement.
+	e := newEnum("pairs")
+	g := e.paired("static", cell{spec: specAt(8, 16, 1, 30, testTasks()), policy: "static"}, 2, 7)
+	if err := e.run(context.Background(), Options{}); err != nil {
 		t.Fatal(err)
 	}
-	if imp != 0 {
+	if imp, _ := g(); imp != 0 {
 		t.Errorf("static vs static improvement = %v, want exactly 0", imp)
+	}
+}
+
+// TestBaselineKeyCoversCell guards the shared-baseline map against
+// aliasing two different jobs: setting any cell field (recursing into
+// struct fields) to a non-zero value must change baselineKey, except
+// policy and window, which the static baseline fixes.
+func TestBaselineKeyCoversCell(t *testing.T) {
+	zero := baselineKey(cell{})
+	var walk func(typ reflect.Type, path []int, name string)
+	walk = func(typ reflect.Type, path []int, name string) {
+		for i := 0; i < typ.NumField(); i++ {
+			f := typ.Field(i)
+			p := append(append([]int(nil), path...), i)
+			n := name + "." + f.Name
+			if f.Type.Kind() == reflect.Struct {
+				walk(f.Type, p, n)
+				continue
+			}
+			var c cell
+			fv := reflect.ValueOf(&c).Elem().FieldByIndex(p)
+			// Unexported fields are not settable through reflect; write
+			// through the field's address instead.
+			reflect.NewAt(fv.Type(), unsafe.Pointer(fv.UnsafeAddr())).Elem().Set(nonZero(t, n, f.Type))
+			ignored := n == ".policy" || n == ".window"
+			if changed := baselineKey(c) != zero; changed == ignored {
+				t.Errorf("cell%s set to non-zero: key changed = %v, want %v", n, changed, !ignored)
+			}
+		}
+	}
+	walk(reflect.TypeOf(cell{}), nil, "")
+}
+
+// nonZero returns a non-zero value of typ for TestBaselineKeyCoversCell.
+func nonZero(t *testing.T, name string, typ reflect.Type) reflect.Value {
+	v := reflect.New(typ).Elem()
+	switch typ.Kind() {
+	case reflect.Bool:
+		v.SetBool(true)
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		v.SetInt(1)
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		v.SetUint(1)
+	case reflect.Float32, reflect.Float64:
+		v.SetFloat(1)
+	case reflect.String:
+		v.SetString("x")
+	case reflect.Pointer:
+		v.Set(reflect.New(typ.Elem()))
+	case reflect.Slice:
+		v.Set(reflect.MakeSlice(typ, 1, 1))
+	case reflect.Map:
+		v.Set(reflect.MakeMap(typ))
+	default:
+		t.Fatalf("cell%s: kind %s has no non-zero value here; extend nonZero", name, typ.Kind())
+	}
+	return v
+}
+
+// TestPairedSharesBaselineCells pins the baseline dedupe: at one run
+// per point, fig3a, fig3b and fig6 enumerate one cell per compared
+// policy or window plus one static baseline per distinct job.
+func TestPairedSharesBaselineCells(t *testing.T) {
+	for id, want := range map[string]float64{
+		"fig3a": 6*3 + 6, // 6 analyses x 3 policies, one baseline per analysis
+		"fig3b": 9*3 + 9, // 3 workloads x 3 scales x 3 policies, one baseline per job
+		"fig6":  5*3 + 3, // 5 windows x 3 sync rates, one baseline per sync rate
+	} {
+		hub := telemetry.New(telemetry.Options{})
+		e, _ := Get(id)
+		if err := e.Run(context.Background(), Options{Steps: 25, Runs: 1, Telemetry: hub}, io.Discard); err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		cells := hub.Registry().Counter("seesaw_campaign_cells_total", "", "campaign", "status").With(id, "ok").Value()
+		if cells != want {
+			t.Errorf("%s ran %v cells, want %v", id, cells, want)
+		}
 	}
 }
 

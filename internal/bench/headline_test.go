@@ -2,6 +2,7 @@ package bench
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"seesaw/internal/units"
@@ -14,32 +15,49 @@ import (
 
 const headlineSteps = 150
 
-func improvementOf(t *testing.T, policy string, spec workload.Spec, w int, seed uint64) float64 {
+// improvements runs one paired repeat of each cell at seed as one
+// campaign, through enum.paired, so cells that differ only in policy
+// share their static baseline. It returns the improvements in cell
+// order.
+func improvements(t *testing.T, seed uint64, cells ...cell) []float64 {
 	t.Helper()
-	imp, _, err := medianImprovement(context.Background(), cell{spec: spec, policy: policy, window: w}, 1, seed)
-	if err != nil {
+	e := newEnum(t.Name())
+	gs := make([]func() (float64, float64), len(cells))
+	for i, c := range cells {
+		gs[i] = e.paired(fmt.Sprintf("%d/%s", i, c.policy), c, 1, seed)
+	}
+	if err := e.run(context.Background(), Options{}); err != nil {
 		t.Fatal(err)
 	}
-	return imp
+	imps := make([]float64, len(cells))
+	for i, g := range gs {
+		imps[i], _ = g()
+	}
+	return imps
 }
 
 func TestHeadlineSeeSAwNeverLosesBadly(t *testing.T) {
 	// Across the fig3a workloads, SeeSAw stays within noise of the
 	// static baseline or better (the paper reports only improvements).
-	for _, cs := range fig3aCases() {
-		spec := spec128(cs.dim, 1, headlineSteps, cs.analyses)
-		imp := improvementOf(t, "seesaw", spec, 1, 1001)
+	cases := fig3aCases()
+	cells := make([]cell, len(cases))
+	for i, cs := range cases {
+		cells[i] = cell{spec: spec128(cs.dim, 1, headlineSteps, cs.analyses), policy: "seesaw", window: 1}
+	}
+	for i, imp := range improvements(t, 1001, cells...) {
 		if imp < -1.0 {
-			t.Errorf("seesaw loses %.2f%% on %s", imp, cs.label)
+			t.Errorf("seesaw loses %.2f%% on %s", imp, cases[i].label)
 		}
 	}
 }
 
 func TestHeadlineSeeSAwWinsOnMSD(t *testing.T) {
 	spec := spec128(defaultDim, 1, 400, workload.Tasks("msd"))
-	ss := improvementOf(t, "seesaw", spec, 1, 1003)
-	ta := improvementOf(t, "time-aware", spec, 1, 1003)
-	pa := improvementOf(t, "power-aware", spec, 1, 1003)
+	imps := improvements(t, 1003,
+		cell{spec: spec, policy: "seesaw", window: 1},
+		cell{spec: spec, policy: "time-aware", window: 1},
+		cell{spec: spec, policy: "power-aware", window: 1})
+	ss, ta, pa := imps[0], imps[1], imps[2]
 	if ss <= 0 {
 		t.Errorf("seesaw improvement on full MSD = %.2f%%, want > 0", ss)
 	}
@@ -52,15 +70,18 @@ func TestHeadlineSeeSAwWinsOnMSD(t *testing.T) {
 func TestHeadlinePowerAwareLoses(t *testing.T) {
 	// "The strictly power-aware approach slows down LAMMPS ... in all
 	// cases" — allow noise-level exceptions only.
-	for _, cs := range []analysisCase{
+	cases := []analysisCase{
 		{"msd", defaultDim, workload.Tasks("msd")},
 		{"vacf", defaultMidDim, workload.Tasks("vacf")},
 		{"rdf", defaultMidDim, workload.Tasks("rdf")},
-	} {
-		spec := spec128(cs.dim, 1, headlineSteps, cs.analyses)
-		imp := improvementOf(t, "power-aware", spec, 1, 1005)
+	}
+	cells := make([]cell, len(cases))
+	for i, cs := range cases {
+		cells[i] = cell{spec: spec128(cs.dim, 1, headlineSteps, cs.analyses), policy: "power-aware", window: 1}
+	}
+	for i, imp := range improvements(t, 1005, cells...) {
 		if imp > 1.0 {
-			t.Errorf("power-aware unexpectedly improves %s by %.2f%%", cs.label, imp)
+			t.Errorf("power-aware unexpectedly improves %s by %.2f%%", cases[i].label, imp)
 		}
 	}
 }
@@ -68,11 +89,14 @@ func TestHeadlinePowerAwareLoses(t *testing.T) {
 func TestHeadlineTimeAwareCompetitiveOnLowDemand(t *testing.T) {
 	// "The time-aware approach works well with LAMMPS+RDF and
 	// LAMMPS+VACF" (up to ~13%).
-	for _, name := range []string{"rdf", "vacf"} {
-		spec := spec128(defaultMidDim, 1, headlineSteps, workload.Tasks(name))
-		imp := improvementOf(t, "time-aware", spec, 1, 1007)
+	names := []string{"rdf", "vacf"}
+	cells := make([]cell, len(names))
+	for i, name := range names {
+		cells[i] = cell{spec: spec128(defaultMidDim, 1, headlineSteps, workload.Tasks(name)), policy: "time-aware", window: 1}
+	}
+	for i, imp := range improvements(t, 1007, cells...) {
 		if imp < 3.0 {
-			t.Errorf("time-aware on %s = %.2f%%, expected a clear win", name, imp)
+			t.Errorf("time-aware on %s = %.2f%%, expected a clear win", names[i], imp)
 		}
 	}
 }
@@ -82,8 +106,10 @@ func TestHeadlineSeeSAwLocalOptimum(t *testing.T) {
 	// time-aware policy's simulation power (the local optimum), so it
 	// wins less — but still wins.
 	spec := spec128(defaultMidDim, 1, headlineSteps, workload.Tasks("vacf"))
-	ss := improvementOf(t, "seesaw", spec, 1, 1009)
-	ta := improvementOf(t, "time-aware", spec, 1, 1009)
+	imps := improvements(t, 1009,
+		cell{spec: spec, policy: "seesaw", window: 1},
+		cell{spec: spec, policy: "time-aware", window: 1})
+	ss, ta := imps[0], imps[1]
 	if ss <= 0 {
 		t.Errorf("seesaw should still improve VACF, got %.2f%%", ss)
 	}
@@ -97,15 +123,11 @@ func TestHeadlineFig8Shape(t *testing.T) {
 	// Diminishing returns: the improvement at a 150 W cap must be well
 	// below the peak region (110-120 W), and the 98 W floor gives ~0.
 	spec := spec128(defaultDim, 1, headlineSteps, workload.AllAnalyses())
-	at := func(cap float64) float64 {
-		imp, _, err := medianImprovement(context.Background(), cell{spec: spec, policy: "seesaw", window: 1,
-			capPerNode: units.Watts(cap)}, 1, 1011)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return imp
+	at := func(cap units.Watts) cell {
+		return cell{spec: spec, policy: "seesaw", window: 1, capPerNode: cap}
 	}
-	floor, peak, loose := at(98), at(115), at(150)
+	imps := improvements(t, 1011, at(98), at(115), at(150))
+	floor, peak, loose := imps[0], imps[1], imps[2]
 	if floor > 1.0 {
 		t.Errorf("improvement at the 98 W floor = %.2f%%, want ~0 (no headroom)", floor)
 	}

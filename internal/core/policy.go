@@ -176,10 +176,11 @@ type Constraints struct {
 
 // Validate reports constraint errors.
 func (c Constraints) Validate(nodes int) error {
-	if c.Budget <= 0 {
-		return fmt.Errorf("core: budget must be positive, got %v", c.Budget)
+	if c.Budget <= 0 || !units.IsFinite(float64(c.Budget)) {
+		return fmt.Errorf("core: budget must be positive and finite, got %v", c.Budget)
 	}
-	if c.MinCap <= 0 || c.MaxCap <= c.MinCap {
+	if c.MinCap <= 0 || c.MaxCap <= c.MinCap ||
+		!units.IsFinite(float64(c.MinCap)) || !units.IsFinite(float64(c.MaxCap)) {
 		return fmt.Errorf("core: invalid cap range [%v, %v]", c.MinCap, c.MaxCap)
 	}
 	if nodes > 0 && c.Budget < c.MinCap*units.Watts(nodes) {

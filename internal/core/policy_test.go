@@ -86,6 +86,11 @@ func TestConstraintsValidate(t *testing.T) {
 		{Budget: 1000, MinCap: 0, MaxCap: 215},
 		{Budget: 1000, MinCap: 215, MaxCap: 98},
 		{Budget: 100, MinCap: 98, MaxCap: 215}, // below 8*98
+		{Budget: units.Watts(math.NaN()), MinCap: 98, MaxCap: 215},
+		{Budget: units.Watts(math.Inf(1)), MinCap: 98, MaxCap: 215},
+		{Budget: 1000, MinCap: units.Watts(math.NaN()), MaxCap: 215},
+		{Budget: 1000, MinCap: 98, MaxCap: units.Watts(math.NaN())},
+		{Budget: 1000, MinCap: 98, MaxCap: units.Watts(math.Inf(1))},
 	}
 	for i, c := range bad {
 		if err := c.Validate(8); err == nil {

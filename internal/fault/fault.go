@@ -14,6 +14,7 @@ import (
 	"strings"
 
 	"seesaw/internal/rng"
+	"seesaw/internal/units"
 )
 
 // Kind discriminates the supported perturbations.
@@ -53,8 +54,8 @@ type Event struct {
 	// Sync is the 1-based synchronization index at which the event
 	// fires.
 	Sync int
-	// Factor (Slow only) multiplies phase durations; must be > 0.
-	// Factors above 1 slow the node down.
+	// Factor (Slow only) multiplies phase durations; must be positive
+	// and finite. Factors above 1 slow the node down.
 	Factor float64
 	// Window (Slow only) is how many synchronizations the excursion
 	// lasts; the node recovers before sync Sync+Window executes.
@@ -84,8 +85,8 @@ type Plan struct {
 func (p *Plan) Empty() bool { return p == nil || len(p.Events) == 0 }
 
 // Validate checks every event against a platform of n nodes: targets
-// in [0, n), sync >= 1, slow factors > 0 with windows >= 1, and at
-// most one kill per node.
+// in [0, n), sync >= 1, slow factors positive and finite with windows
+// >= 1, and at most one kill per node.
 func (p *Plan) Validate(n int) error {
 	if p.Empty() {
 		return nil
@@ -105,8 +106,8 @@ func (p *Plan) Validate(n int) error {
 			}
 			killed[e.Node] = true
 		case Slow:
-			if e.Factor <= 0 {
-				return fmt.Errorf("fault: event %d (%s) has non-positive factor %g", i, e, e.Factor)
+			if e.Factor <= 0 || !units.IsFinite(e.Factor) {
+				return fmt.Errorf("fault: event %d (%s) has factor %g; must be positive and finite", i, e, e.Factor)
 			}
 			if e.Window < 1 {
 				return fmt.Errorf("fault: event %d (%s) has window %d; must cover at least one sync", i, e, e.Window)

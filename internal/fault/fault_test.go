@@ -1,6 +1,8 @@
 package fault
 
 import (
+	"math"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -25,6 +27,36 @@ func TestParseRoundTrip(t *testing.T) {
 			t.Errorf("round-trip of %q unstable: %q, %v", in, again.String(), err)
 		}
 	}
+}
+
+// FuzzParse checks the plan grammar: no input panics Parse, and every
+// plan that parses and validates prints (String) to text that parses
+// back to a deep-equal plan. Validation is what keeps NaN factors, which
+// never compare equal, out of the round trip.
+func FuzzParse(f *testing.F) {
+	for _, s := range []string{
+		"kill:5@20,slow:3@10x2.0+15",
+		"slow:0@100x2+100,kill:255@200",
+		"kill:3@40,slow:0@10x2+20",
+		"slow:0@20",
+		"slow:0@5xNaN+3",
+		"slow:0@5xInf+3",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		p, err := Parse(s)
+		if err != nil || p.Validate(math.MaxInt) != nil {
+			return
+		}
+		back, err := Parse(p.String())
+		if err != nil {
+			t.Fatalf("Parse(%q).String() = %q does not parse: %v", s, p.String(), err)
+		}
+		if !reflect.DeepEqual(p, back) {
+			t.Fatalf("Parse(%q) = %+v, but its String %q parses to %+v", s, p, p.String(), back)
+		}
+	})
 }
 
 func TestParseDefaults(t *testing.T) {
@@ -69,6 +101,8 @@ func TestValidate(t *testing.T) {
 		{&Plan{Events: []Event{{Kind: Kill, Node: 0, Sync: 0}}}, "1-based"},
 		{&Plan{Events: []Event{{Kind: Kill, Node: 0, Sync: 1}, {Kind: Kill, Node: 0, Sync: 2}}}, "twice"},
 		{&Plan{Events: []Event{{Kind: Slow, Node: 0, Sync: 1, Factor: 0, Window: 1}}}, "factor"},
+		{&Plan{Events: []Event{{Kind: Slow, Node: 0, Sync: 1, Factor: math.NaN(), Window: 1}}}, "factor"},
+		{&Plan{Events: []Event{{Kind: Slow, Node: 0, Sync: 1, Factor: math.Inf(1), Window: 1}}}, "factor"},
 		{&Plan{Events: []Event{{Kind: Slow, Node: 0, Sync: 1, Factor: 2, Window: 0}}}, "window"},
 		{&Plan{Events: []Event{{Kind: Kind(9), Node: 0, Sync: 1}}}, "invalid kind"},
 	}

@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -108,6 +109,33 @@ func TestParseClassMap(t *testing.T) {
 	if rt.String() != m.String() {
 		t.Errorf("round trip %q != %q", rt.String(), m.String())
 	}
+}
+
+// FuzzParseClassMap checks the class-map grammar: no input panics
+// ParseClassMap, and every map that parses prints (String) to text that
+// parses back to a deep-equal map.
+func FuzzParseClassMap(f *testing.F) {
+	for _, s := range []string{
+		"0-511:cpu,512-575:gpu",
+		"0-1:cpu,2-3:gpu,4-5:cpu,6-7:gpu",
+		"0-3:cpu,4-7:gpu",
+		"0-511:cpu, 512-575:gpu,600:lowpower",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		m, err := ParseClassMap(s)
+		if err != nil {
+			return
+		}
+		back, err := ParseClassMap(m.String())
+		if err != nil {
+			t.Fatalf("ParseClassMap(%q).String() = %q does not parse: %v", s, m.String(), err)
+		}
+		if !reflect.DeepEqual(m, back) {
+			t.Fatalf("ParseClassMap(%q) = %+v, but its String %q parses to %+v", s, m, m.String(), back)
+		}
+	})
 }
 
 func TestParseClassMapErrors(t *testing.T) {

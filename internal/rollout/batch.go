@@ -207,8 +207,8 @@ func (g Grid) Expand() ([]Point, error) {
 		}
 	}
 	for _, b := range g.Budgets {
-		if b <= 0 {
-			return nil, fmt.Errorf("rollout: per-node budget %g W, need > 0", float64(b))
+		if b <= 0 || !units.IsFinite(float64(b)) {
+			return nil, fmt.Errorf("rollout: per-node budget %g W, need positive and finite", float64(b))
 		}
 	}
 	for _, w := range g.Windows {

@@ -3,6 +3,7 @@ package rollout
 import (
 	"bytes"
 	"context"
+	"math"
 	"testing"
 
 	"seesaw/internal/cosim"
@@ -284,6 +285,8 @@ func TestGridExpandValidation(t *testing.T) {
 	for name, g := range map[string]Grid{
 		"zero budget":     {Budgets: []units.Watts{0, 110}},
 		"negative budget": {Budgets: []units.Watts{-5}},
+		"NaN budget":      {Budgets: []units.Watts{units.Watts(math.NaN())}},
+		"infinite budget": {Budgets: []units.Watts{110, units.Watts(math.Inf(1))}},
 		"zero window":     {Windows: []int{0, 1}},
 		"zero dim":        {Dims: []int{0}},
 		"negative dim":    {Dims: []int{-16}},
