@@ -102,22 +102,30 @@ bench-rollouts-profile:
 	$(GO) test -run xxx -bench '^BenchmarkRollouts$$' -benchtime 1x -count 5 \
 		-cpuprofile rollout.cpu.out -memprofile rollout.mem.out ./internal/rollout/
 
-# memo-golden-smoke pins the noise-trace memoization end to end at the
-# CLI: the same small search grid with memoization on and with
-# -no-noise-memo must print byte-identical reports (replay is
-# byte-identical to live draws by construction).
+# memo-golden-smoke pins at the CLI that neither noise-trace
+# memoization nor observing changes a result: the same small search
+# grid, fault-free and faulted, must print byte-identical reports with
+# memoization on, with -no-noise-memo (replay is byte-identical to live
+# draws by construction) and under -telemetry (instrumented rollouts
+# take the same pooled path as plain ones), and the telemetry stream
+# must not be empty.
 memo-golden-smoke:
 	@tmp="$${TMPDIR:-/tmp}"; \
-	$(GO) run ./cmd/seesawctl search -nodes 8 -steps 20 -budgets 105,110 \
-		-policies seesaw,time-aware > "$$tmp/seesaw-memo-on.txt" && \
-	$(GO) run ./cmd/seesawctl search -nodes 8 -steps 20 -budgets 105,110 \
-		-policies seesaw,time-aware -no-noise-memo > "$$tmp/seesaw-memo-off.txt" && \
-	if ! cmp -s "$$tmp/seesaw-memo-on.txt" "$$tmp/seesaw-memo-off.txt"; then \
-		echo "memo-on vs -no-noise-memo reports diverge:"; \
-		diff "$$tmp/seesaw-memo-on.txt" "$$tmp/seesaw-memo-off.txt"; exit 1; \
+	args="-nodes 8 -steps 20 -budgets 105,110 -policies seesaw,time-aware -faults none,slow:0@5x2+5,kill:7@10"; \
+	$(GO) run ./cmd/seesawctl search $$args > "$$tmp/seesaw-memo-on.txt" && \
+	$(GO) run ./cmd/seesawctl search $$args -no-noise-memo > "$$tmp/seesaw-memo-off.txt" && \
+	$(GO) run ./cmd/seesawctl search $$args -telemetry "$$tmp/ev.jsonl" > "$$tmp/seesaw-telemetry.txt" && \
+	for run in memo-off telemetry; do \
+		if ! cmp -s "$$tmp/seesaw-memo-on.txt" "$$tmp/seesaw-$$run.txt"; then \
+			echo "memo-on vs $$run reports diverge:"; \
+			diff "$$tmp/seesaw-memo-on.txt" "$$tmp/seesaw-$$run.txt"; exit 1; \
+		fi; \
+	done; \
+	if [ ! -s "$$tmp/ev.jsonl" ]; then \
+		echo "search -telemetry wrote no events"; exit 1; \
 	fi; \
-	rm -f "$$tmp/seesaw-memo-on.txt" "$$tmp/seesaw-memo-off.txt"; \
-	echo "memo golden smoke ok: memoized and live reports are byte-identical"
+	rm -f "$$tmp/seesaw-memo-on.txt" "$$tmp/seesaw-memo-off.txt" "$$tmp/seesaw-telemetry.txt" "$$tmp/ev.jsonl"; \
+	echo "memo golden smoke ok: memoized, live and instrumented reports are byte-identical"
 
 # batch-race-smoke runs one 256-node batched grid sweep under the race
 # detector: the per-worker pooled episodes, the shared trace cache and

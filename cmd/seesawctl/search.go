@@ -134,13 +134,14 @@ func runSearch(ctx context.Context, args []string) int {
 	if err != nil {
 		return fail(ctx, err)
 	}
-	if *noMemo {
-		for i := range points {
-			points[i].Spec.NoNoiseMemo = true
-		}
-	}
 	hub, closeHub := mustOpenHub(*telPath)
 	defer closeHub()
+	for i := range points {
+		points[i].Spec.NoNoiseMemo = *noMemo
+		// Every rollout reports into the hub; instrumented episodes run
+		// the same pooled path as plain ones, so the report is unchanged.
+		points[i].Spec.Telemetry = hub
+	}
 	cache := rollout.NewStateCache()
 	cache.SetTelemetry(hub)
 	outs, err := rollout.Batch(ctx, points, rollout.Options{Jobs: *jobs, Cache: cache, Telemetry: hub})

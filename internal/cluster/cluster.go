@@ -149,11 +149,22 @@ type Cluster struct {
 	// homogeneous cluster (no Classes configured).
 	caps []core.NodeCapability
 
+	// planned lists the node ids the fault plan names, ascending: the
+	// only nodes whose health can change, so Advance and Reset visit
+	// them alone.
+	planned []int
+	// trs is Advance's transition scratch, reused across calls.
+	trs []Transition
+
 	mu       sync.Mutex
 	health   []core.Health
 	slow     []float64 // slow factor currently applied to each node
 	aliveSim int
 	aliveAna int
+	// gauged counts, per partition, the degraded nodes the hub's
+	// degraded-nodes gauge holds for this cluster: NodeDegraded added
+	// them, and no recovery, kill or Settle has removed them yet.
+	gauged [2]int
 }
 
 // New validates the configuration and builds the node population. The
@@ -273,14 +284,66 @@ func New(cfg Config) (*Cluster, error) {
 			c.roles[i] = core.RoleAnalysis
 		}
 		c.slow[i] = 1
-		if cfg.Telemetry != nil {
-			// Metrics aggregate per partition; the event stream carries one
-			// representative node per partition.
-			eventful := i == 0 || i == cfg.SimNodes
-			c.nodes[i].RAPL().SetTelemetry(cfg.Telemetry, c.roles[i].String(), eventful)
+	}
+	if cfg.Telemetry != nil {
+		c.attach(cfg.Telemetry)
+	}
+	if !cfg.Faults.Empty() {
+		seen := make(map[int]bool)
+		for _, e := range cfg.Faults.Events {
+			if !seen[e.Node] {
+				seen[e.Node] = true
+				c.planned = append(c.planned, e.Node)
+			}
 		}
+		sort.Ints(c.planned)
 	}
 	return c, nil
+}
+
+// attach points every node's RAPL telemetry at h. Metrics aggregate
+// per partition; the event stream carries one representative node per
+// partition.
+func (c *Cluster) attach(h *telemetry.Hub) {
+	for i, n := range c.nodes {
+		eventful := i == 0 || i == c.cfg.SimNodes
+		n.RAPL().SetTelemetry(h, c.roles[i].String(), eventful)
+	}
+}
+
+// SetTelemetry re-attaches the cluster to hub h (nil detaches): every
+// node's RAPL site and the lifecycle events and gauges. Degraded nodes
+// still counted on the previous hub's gauge are settled there first. A
+// pooled driver calls it between runs when the hub changes; the result
+// is the cluster New would have built with Telemetry h.
+func (c *Cluster) SetTelemetry(h *telemetry.Hub) {
+	c.mu.Lock()
+	c.settleLocked()
+	c.cfg.Telemetry = h
+	c.mu.Unlock()
+	c.attach(h)
+}
+
+// Settle removes the nodes still under a slow excursion from the
+// telemetry hub's degraded-nodes gauge, without a NodeRecovered event:
+// the run ended (or was cancelled) with them degraded, and a gauge of
+// nodes running degraded must not count nodes of a finished run. The
+// health view is unchanged. Drivers defer it when a run returns;
+// calling it again, or before Reset, is harmless.
+func (c *Cluster) Settle() {
+	c.mu.Lock()
+	c.settleLocked()
+	c.mu.Unlock()
+}
+
+// settleLocked is Settle with c.mu held.
+func (c *Cluster) settleLocked() {
+	for r, n := range c.gauged {
+		if n > 0 {
+			c.cfg.Telemetry.DegradedSettled(core.Role(r).String(), n)
+		}
+		c.gauged[r] = 0
+	}
 }
 
 // Reset returns the cluster to its just-built state for pooled episode
@@ -291,7 +354,8 @@ func New(cfg Config) (*Cluster, error) {
 // freshly constructed one with the same Config.
 func (c *Cluster) Reset() {
 	c.mu.Lock()
-	for i := range c.nodes {
+	c.settleLocked()
+	for _, i := range c.planned {
 		c.health[i] = core.Healthy
 		c.slow[i] = 1
 	}
@@ -400,37 +464,44 @@ func (c *Cluster) Measure(i int) core.NodeMeasure {
 // Advance applies the fault plan cluster-wide for the given 1-based
 // synchronization index (the sequential driver's path, called at the
 // top of each interval: an event planned for sync k is in force before
-// interval k executes). It returns the transitions fired, in node
-// order.
+// interval k executes). It visits only the nodes the plan names and
+// returns the transitions fired, in node order, or nil when none fired.
+// The returned slice is scratch, valid until the next Advance.
 func (c *Cluster) Advance(t units.Seconds, sync int) []Transition {
-	if c.cfg.Faults.Empty() {
+	c.trs = c.trs[:0]
+	for _, i := range c.planned {
+		if tr, ok := c.apply(i, t, sync); ok {
+			c.trs = append(c.trs, tr)
+		}
+	}
+	if len(c.trs) == 0 {
 		return nil
 	}
-	var trs []Transition
-	for i := range c.nodes {
-		trs = append(trs, c.apply(i, t, sync)...)
-	}
-	return trs
+	return c.trs
 }
 
 // Apply applies the fault plan for one node (the rank-parallel path:
 // each rank calls it for its own node right before PowerAlloc). It
 // returns the transitions fired and whether the node is now dead.
 func (c *Cluster) Apply(id int, t units.Seconds, sync int) ([]Transition, bool) {
-	trs := c.apply(id, t, sync)
+	var trs []Transition
+	if tr, ok := c.apply(id, t, sync); ok {
+		trs = []Transition{tr}
+	}
 	return trs, !c.Alive(id)
 }
 
-// apply advances one node's health to the plan's state at sync.
-func (c *Cluster) apply(id int, t units.Seconds, sync int) []Transition {
+// apply advances one node's health to the plan's state at sync and
+// reports the transition, if one fired.
+func (c *Cluster) apply(id int, t units.Seconds, sync int) (Transition, bool) {
 	plan := c.cfg.Faults
 	if plan.Empty() {
-		return nil
+		return Transition{}, false
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.health[id] == core.Dead {
-		return nil
+		return Transition{}, false
 	}
 	role := c.roles[id]
 	if ks := plan.KillSync(id); ks != 0 && sync >= ks {
@@ -438,6 +509,7 @@ func (c *Cluster) apply(id int, t units.Seconds, sync int) []Transition {
 		if from == core.Degraded {
 			// The excursion ends with the node: keep the degraded gauge
 			// consistent before counting the kill.
+			c.gauged[role]--
 			c.cfg.Telemetry.NodeRecovered(float64(t), id, role.String(), sync)
 		}
 		c.health[id] = core.Dead
@@ -448,25 +520,27 @@ func (c *Cluster) apply(id int, t units.Seconds, sync int) []Transition {
 			c.aliveAna--
 		}
 		c.cfg.Telemetry.NodeKilled(float64(t), id, role.String(), sync, c.aliveSim, c.aliveAna)
-		return []Transition{{NodeID: id, Role: role, From: from, To: core.Dead, Factor: 1, Sync: sync, T: t}}
+		return Transition{NodeID: id, Role: role, From: from, To: core.Dead, Factor: 1, Sync: sync, T: t}, true
 	}
 	f := plan.SlowFactor(id, sync)
 	if f == c.slow[id] {
-		return nil
+		return Transition{}, false
 	}
 	from := c.health[id]
 	c.slow[id] = f
 	c.nodes[id].SetSlowFactor(f)
 	if f == 1 {
 		c.health[id] = core.Healthy
+		c.gauged[role]--
 		c.cfg.Telemetry.NodeRecovered(float64(t), id, role.String(), sync)
-		return []Transition{{NodeID: id, Role: role, From: from, To: core.Healthy, Factor: 1, Sync: sync, T: t}}
+		return Transition{NodeID: id, Role: role, From: from, To: core.Healthy, Factor: 1, Sync: sync, T: t}, true
 	}
 	c.health[id] = core.Degraded
 	if from == core.Healthy {
+		c.gauged[role]++
 		c.cfg.Telemetry.NodeDegraded(float64(t), id, role.String(), sync, f)
 	}
 	// A factor change inside an excursion (overlapping windows) is
 	// recorded in the transition log but not re-counted by telemetry.
-	return []Transition{{NodeID: id, Role: role, From: from, To: core.Degraded, Factor: f, Sync: sync, T: t}}
+	return Transition{NodeID: id, Role: role, From: from, To: core.Degraded, Factor: f, Sync: sync, T: t}, true
 }

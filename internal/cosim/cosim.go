@@ -114,8 +114,10 @@ type Config struct {
 	// Telemetry, when non-nil, receives metrics and structured events
 	// from the run: cap writes and throttling per partition (from each
 	// node's RAPL domain), one SyncBarrier per interval, idle troughs,
-	// policy decisions and budget violations. Nil disables all
-	// instrumentation at no cost.
+	// policy decisions, budget violations and node faults. Nil disables
+	// all instrumentation at no cost. Like Policy it is an episode
+	// parameter: Run and FindBestStaticSplit pass it to the episode as
+	// EpisodeParams.Telemetry, and NewJobState ignores it.
 	Telemetry *telemetry.Hub
 }
 
@@ -177,6 +179,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		InitialSimCap: cfg.InitialSimCap,
 		InitialAnaCap: cfg.InitialAnaCap,
 		CapMode:       cfg.CapMode,
+		Telemetry:     cfg.Telemetry,
 	})
 }
 

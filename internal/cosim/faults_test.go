@@ -209,3 +209,76 @@ func TestDeadAnalysisNodeRebalance(t *testing.T) {
 		t.Errorf("live caps sum to %v, want budget %v", live, cons.Budget)
 	}
 }
+
+// degradedGauge reads the hub's seesaw_degraded_nodes gauge for one
+// partition.
+func degradedGauge(hub *telemetry.Hub, partition string) float64 {
+	return hub.Registry().Gauge("seesaw_degraded_nodes", "", "partition").With(partition).Value()
+}
+
+// TestDegradedGaugeSettles: episodes that end, or are cancelled, inside
+// a slow excursion take their nodes off the hub's degraded gauge, with
+// no NodeRecovered event, so pooled episodes on one hub never pile up
+// stale degraded nodes.
+func TestDegradedGaugeSettles(t *testing.T) {
+	hub := telemetry.New(telemetry.Options{})
+	spec := smallSpec()
+	spec.Steps = 20
+	st, err := NewJobState(Config{Spec: spec, Seed: 3, Noise: machine.DefaultNoise(),
+		Faults: mustPlan(t, "slow:0@5x2+100")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ep, err := st.NewEpisode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	prm := EpisodeParams{Constraints: smallCons(), CapMode: CapLong, Telemetry: hub}
+	for i := 0; i < 2; i++ {
+		if _, err := ep.Run(context.Background(), prm); err != nil {
+			t.Fatal(err)
+		}
+		if g := degradedGauge(hub, "sim"); g != 0 {
+			t.Fatalf("episode %d: seesaw_degraded_nodes{partition=\"sim\"} = %v after the run, want 0", i, g)
+		}
+	}
+
+	// A cancelled episode settles too.
+	ctx, cancel := context.WithCancel(context.Background())
+	prm.Policy = cancelAfter{sync: 10, cancel: cancel}
+	if _, err := ep.Run(ctx, prm); err == nil {
+		t.Fatal("cancelled episode returned no error")
+	}
+	if g := degradedGauge(hub, "sim"); g != 0 {
+		t.Errorf("cancelled episode left seesaw_degraded_nodes{partition=\"sim\"} = %v, want 0", g)
+	}
+
+	var degraded, recovered int
+	for _, e := range hub.Events() {
+		switch e.(type) {
+		case telemetry.NodeDegraded:
+			degraded++
+		case telemetry.NodeRecovered:
+			recovered++
+		}
+	}
+	if degraded != 3 || recovered != 0 {
+		t.Errorf("events: %d NodeDegraded, %d NodeRecovered; want 3 and 0", degraded, recovered)
+	}
+}
+
+// cancelAfter is a static policy that cancels its episode's context at
+// one synchronization.
+type cancelAfter struct {
+	sync   int
+	cancel context.CancelFunc
+}
+
+func (cancelAfter) Name() string { return "cancel-after" }
+
+func (p cancelAfter) Allocate(step int, _ []core.NodeMeasure) []units.Watts {
+	if step == p.sync {
+		p.cancel()
+	}
+	return nil
+}

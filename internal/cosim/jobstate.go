@@ -24,6 +24,7 @@ import (
 	"seesaw/internal/machine"
 	"seesaw/internal/mpi"
 	"seesaw/internal/rng"
+	"seesaw/internal/telemetry"
 	"seesaw/internal/trace"
 	"seesaw/internal/units"
 )
@@ -44,8 +45,8 @@ const policyComputeTime = 2e-6
 // job. It is safe for concurrent use by any number of Episodes.
 type JobState struct {
 	// cfg is the normalized configuration with the episode-varying
-	// fields (Policy, Constraints, initial caps, CapMode) zeroed; those
-	// arrive per run via EpisodeParams.
+	// fields (Policy, Constraints, initial caps, CapMode, Telemetry)
+	// zeroed; those arrive per run via EpisodeParams.
 	cfg Config
 
 	schedule []intervalEnd
@@ -90,8 +91,8 @@ type noiseWindow struct {
 
 // NewJobState validates the workload and precomputes the job's
 // episode-invariant tables. The Policy, Constraints, InitialSimCap,
-// InitialAnaCap and CapMode fields of cfg are ignored — they are
-// episode parameters, supplied to Episode.Run.
+// InitialAnaCap, CapMode and Telemetry fields of cfg are ignored — they
+// are episode parameters, supplied to Episode.Run.
 func NewJobState(cfg Config) (*JobState, error) {
 	if err := cfg.Spec.Validate(); err != nil {
 		return nil, err
@@ -103,6 +104,7 @@ func NewJobState(cfg Config) (*JobState, error) {
 	cfg.Constraints = core.Constraints{}
 	cfg.InitialSimCap, cfg.InitialAnaCap = 0, 0
 	cfg.CapMode = CapNone
+	cfg.Telemetry = nil
 
 	spec := cfg.Spec
 	st := &JobState{
@@ -143,11 +145,13 @@ func NewJobState(cfg Config) (*JobState, error) {
 	// Noise-trace memoization: the jitter draws a node consumes over an
 	// episode depend only on the phase schedule and the run seed — never
 	// on caps, budget or policy — so one recorded sequence serves every
-	// grid point sharing this job. Fault plans shift work between nodes
-	// (work-scaling does not commute with replay slicing) and traced
-	// runs are one-off figure generation, so both keep the live RNG
-	// path, mirroring the RunTrusted rule.
-	if cfg.Faults.Empty() && !cfg.TraceSegments && !cfg.NoNoiseMemo {
+	// grid point sharing this job. Faults do not change the draws either
+	// (a kill scales a non-zero nominal by a positive factor, and a slow
+	// factor multiplies the duration after the draw), but faulted jobs
+	// keep the live RNG path for memory: a memo on the benchmark's
+	// faulted search grid raised its resident set from 12.7 to 26.8 MiB
+	// (DESIGN.md, "Noise traces and the state cache").
+	if cfg.Faults.Empty() && !cfg.NoNoiseMemo {
 		st.recordNoiseTraces()
 	}
 	return st, nil
@@ -205,9 +209,9 @@ func (st *JobState) recordNoiseTraces() {
 // bound total memo memory.
 func (st *JobState) TraceBytes() int64 { return st.traceBytes }
 
-// EpisodeParams are the per-episode knobs of one run: the acting policy
-// and the power-budget configuration. Everything else about the job
-// lives in the shared JobState.
+// EpisodeParams are the per-episode knobs of one run: the acting
+// policy, the power-budget configuration and the telemetry hub.
+// Everything else about the job lives in the shared JobState.
 type EpisodeParams struct {
 	// Policy allocates power at each synchronization; nil means static.
 	Policy core.Policy
@@ -218,6 +222,11 @@ type EpisodeParams struct {
 	InitialSimCap, InitialAnaCap units.Watts
 	// CapMode selects the RAPL cap types.
 	CapMode CapMode
+	// Telemetry, when non-nil, receives the run's metrics and events
+	// (see Config.Telemetry). The episode re-attaches its cluster when
+	// the hub differs from the previous run's, so one pooled Episode
+	// serves instrumented and plain runs alike.
+	Telemetry *telemetry.Hub
 }
 
 // Episode owns the mutable state of one worker's runs over a JobState:
@@ -227,14 +236,20 @@ type EpisodeParams struct {
 type Episode struct {
 	st *JobState
 	cl *cluster.Cluster
+	// tel is the hub the cluster is attached to.
+	tel *telemetry.Hub
 
-	// nodeSim[i] and nodeAna[i] are node i's model-adapted phase
-	// tables (shared per distinct device model): the fault-free run
-	// loop executes them directly, skipping the per-execution
-	// adaptation and phase copies RunTrusted performs.
-	nodeSim [][][]machine.Phase
-	nodeAna [][][]machine.Phase
+	// tables holds each distinct device model's adapted phase tables,
+	// and nodeModel[i] is node i's index into it. The run loop executes
+	// them through RunAdapted: no per-execution adaptation, no Phase
+	// copies.
+	tables    []modelTables
+	nodeModel []int
 
+	// health is the episode's copy of the cluster's health view,
+	// updated from the transitions Advance returns, so the window loop
+	// reads it without the cluster's lock.
+	health     []core.Health
 	busy       []units.Seconds
 	measures   []core.NodeMeasure
 	lastEnergy []units.Joules
@@ -246,9 +261,25 @@ type Episode struct {
 	clock units.Seconds
 }
 
+// modelTables are one device model's phase tables.
+type modelTables struct {
+	model machine.Model
+	// sim[k] and ana[k] are the partitions' tables for schedule entry
+	// k, adapted to the model once per job.
+	sim, ana [][]machine.Phase
+	// scaled[r] is scratch for partition r's table of the running
+	// interval while kills have scaled that partition's work: each raw
+	// nominal multiplied by the work scale, then adapted. The order
+	// matters in floating point (scale*(nominal/speed) differs from
+	// (scale*nominal)/speed), and scaling first is the order Run's
+	// per-execution adaptation used. Capacity is reserved once, so the
+	// rebuild never allocates.
+	scaled [2][]machine.Phase
+}
+
 // adaptTables returns the model-adapted copy of per-interval phase
-// tables. Adapting once per job is byte-identical to RunTrusted's
-// per-execution adaptation (Adapt is deterministic per model).
+// tables. Adapting once per job is byte-identical to adapting per
+// execution (Adapt is deterministic per model).
 func adaptTables(m machine.Model, tables [][]machine.Phase) [][]machine.Phase {
 	out := make([][]machine.Phase, len(tables))
 	for i, phs := range tables {
@@ -264,10 +295,30 @@ func adaptTables(m machine.Model, tables [][]machine.Phase) [][]machine.Phase {
 	return out
 }
 
+// scale fills tb.scaled[r] with raw's phases, work-scaled by s and
+// then adapted to the model.
+func (tb *modelTables) scale(r core.Role, raw []machine.Phase, s float64) {
+	out := tb.scaled[r][:0]
+	for _, ph := range raw {
+		ph.Nominal = units.Seconds(float64(ph.Nominal) * s)
+		out = append(out, tb.model.Adapt(ph))
+	}
+	tb.scaled[r] = out
+}
+
+// maxLen returns the longest table's length.
+func maxLen(tables [][]machine.Phase) int {
+	n := 0
+	for _, phs := range tables {
+		n = max(n, len(phs))
+	}
+	return n
+}
+
 // NewEpisode builds the job's node population for one worker. The
 // phase tables are validated here against every device model present,
-// once, so the run loop can use the trusted execution path (an invalid
-// phase panics, preserving machine.Node.Run's contract).
+// once, so the run loop can execute pre-adapted phases unchecked (an
+// invalid phase panics, preserving machine.Node.Run's contract).
 func (st *JobState) NewEpisode() (*Episode, error) {
 	cl, err := cluster.New(cluster.Config{
 		SimNodes:      st.nSim,
@@ -280,19 +331,19 @@ func (st *JobState) NewEpisode() (*Episode, error) {
 		JobSeed:       st.cfg.Seed,
 		RunSeed:       st.cfg.RunSeed,
 		Faults:        st.cfg.Faults,
-		Telemetry:     st.cfg.Telemetry,
 	})
 	if err != nil {
 		return nil, err
 	}
-	type tables struct{ sim, ana [][]machine.Phase }
-	byModel := map[machine.Model]*tables{}
-	nodeSim := make([][][]machine.Phase, cl.Size())
-	nodeAna := make([][][]machine.Phase, cl.Size())
-	for i := 0; i < cl.Size(); i++ {
+	// Only kills scale work; reserve the scaled scratch for them alone.
+	kills := len(st.cfg.Faults.Kills()) > 0
+	byModel := map[machine.Model]int{}
+	var tables []modelTables
+	nodeModel := make([]int, cl.Size())
+	for i := range nodeModel {
 		m := cl.Node(i).Model()
-		tb := byModel[m]
-		if tb == nil {
+		idx, ok := byModel[m]
+		if !ok {
 			for _, tbl := range [2][][]machine.Phase{st.simPhases, st.anaPhases} {
 				for _, phs := range tbl {
 					for _, ph := range phs {
@@ -302,20 +353,37 @@ func (st *JobState) NewEpisode() (*Episode, error) {
 					}
 				}
 			}
-			tb = &tables{sim: adaptTables(m, st.simPhases), ana: adaptTables(m, st.anaPhases)}
-			byModel[m] = tb
+			tb := modelTables{model: m, sim: adaptTables(m, st.simPhases), ana: adaptTables(m, st.anaPhases)}
+			if kills {
+				tb.scaled[core.RoleSimulation] = make([]machine.Phase, 0, maxLen(st.simPhases))
+				tb.scaled[core.RoleAnalysis] = make([]machine.Phase, 0, maxLen(st.anaPhases))
+			}
+			idx = len(tables)
+			tables = append(tables, tb)
+			byModel[m] = idx
 		}
-		nodeSim[i], nodeAna[i] = tb.sim, tb.ana
+		nodeModel[i] = idx
 	}
 	return &Episode{
 		st:         st,
 		cl:         cl,
-		nodeSim:    nodeSim,
-		nodeAna:    nodeAna,
+		tables:     tables,
+		nodeModel:  nodeModel,
+		health:     make([]core.Health, st.nTotal),
 		busy:       make([]units.Seconds, st.nTotal),
 		measures:   make([]core.NodeMeasure, st.nTotal),
 		lastEnergy: make([]units.Joules, st.nTotal),
 	}, nil
+}
+
+// addSegment appends a traced power segment to the simulation or the
+// analysis partition's trace.
+func (res *Result) addSegment(sim bool, seg Segment) {
+	if sim {
+		res.SimSegments = append(res.SimSegments, seg)
+	} else {
+		res.AnaSegments = append(res.AnaSegments, seg)
+	}
 }
 
 // Run executes one episode. The context is checked at every
@@ -348,19 +416,31 @@ func (ep *Episode) Run(ctx context.Context, prm EpisodeParams) (*Result, error) 
 	}
 
 	cl := ep.cl
+	tel := prm.Telemetry
+	if tel != ep.tel {
+		cl.SetTelemetry(tel)
+		ep.tel = tel
+	}
 	if ep.used {
 		cl.Reset()
 	}
 	ep.used = true
-	busy, measures, lastEnergy := ep.busy, ep.measures, ep.lastEnergy
+	// A run that ends, or is cancelled, inside a slow excursion must
+	// not leave its nodes on the hub's degraded gauge.
+	defer cl.Settle()
+	health, busy, measures, lastEnergy := ep.health, ep.busy, ep.measures, ep.lastEnergy
 	for i := range lastEnergy {
 		lastEnergy[i] = 0
+		health[i] = core.Healthy
 	}
+	// Kills scale each survivor's share of its partition's work; scale
+	// changes only when a transition fires.
+	scale := [2]float64{1, 1}
 
 	ep.clock = 0
 	policy := pol
-	if cfg.Telemetry != nil {
-		policy = core.Instrument(pol, cfg.Telemetry, func() float64 { return float64(ep.clock) })
+	if tel != nil {
+		policy = core.Instrument(pol, tel, func() float64 { return float64(ep.clock) })
 	}
 	// Install initial caps.
 	if prm.CapMode != CapNone {
@@ -386,18 +466,8 @@ func (ep *Episode) Run(ctx context.Context, prm EpisodeParams) (*Result, error) 
 	// Idle-trough handles resolved once per partition: the per-node
 	// observation inside the synchronization loop must not pay a family
 	// label lookup (and a Role→string conversion) per node per interval.
-	idleSimM := cfg.Telemetry.IdleWaitMetric(core.RoleSimulation.String())
-	idleAnaM := cfg.Telemetry.IdleWaitMetric(core.RoleAnalysis.String())
-
-	// Fault-free runs take a lock-free fast path through the health
-	// view: with an empty plan every node stays Healthy and alive and
-	// the work scale is 1, so the per-node mutex reads of the cluster's
-	// health state (three per node per interval) are pure overhead.
-	faultFree := cfg.Faults.Empty()
-	// The pre-adapted execute path additionally requires segment tracing
-	// off: it does not collect Segments (tracing runs are one-off figure
-	// generation, not search workloads).
-	fast := faultFree && !cfg.TraceSegments
+	idleSimM := tel.IdleWaitMetric(core.RoleSimulation.String())
+	idleAnaM := tel.IdleWaitMetric(core.RoleAnalysis.String())
 
 	for syncIdx, iv := range st.schedule {
 		if err := ctx.Err(); err != nil {
@@ -407,20 +477,27 @@ func (ep *Episode) Run(ctx context.Context, prm EpisodeParams) (*Result, error) 
 		// 0. Fault plan: transitions planned for this interval fire
 		// before it executes. A kill shifts the dead node's share of the
 		// partition's domain-decomposed work onto the survivors.
-		scale := [2]float64{}
-		if faultFree {
-			scale[core.RoleSimulation] = 1
-			scale[core.RoleAnalysis] = 1
-		} else {
-			if trs := cl.Advance(ep.clock, syncIdx+1); len(trs) > 0 {
-				res.FaultLog = append(res.FaultLog, trs...)
+		if trs := cl.Advance(ep.clock, syncIdx+1); len(trs) > 0 {
+			res.FaultLog = append(res.FaultLog, trs...)
+			for _, tr := range trs {
+				health[tr.NodeID] = tr.To
 			}
 			scale[core.RoleSimulation] = cl.WorkScale(core.RoleSimulation)
 			scale[core.RoleAnalysis] = cl.WorkScale(core.RoleAnalysis)
 		}
+		for r, s := range scale {
+			if s == 1 {
+				continue
+			}
+			raw := st.simPhases[syncIdx]
+			if core.Role(r) == core.RoleAnalysis {
+				raw = st.anaPhases[syncIdx]
+			}
+			for m := range ep.tables {
+				ep.tables[m].scale(core.Role(r), raw, s)
+			}
+		}
 
-		simPhases := st.simPhases[syncIdx]
-		anaPhases := st.anaPhases[syncIdx]
 		// Memoized jobs hand each node its window of the interval's
 		// recorded draws; o walks the interval's run front to back.
 		var win noiseWindow
@@ -431,53 +508,35 @@ func (ep *Episode) Run(ctx context.Context, prm EpisodeParams) (*Result, error) 
 
 		// 1. Execute every live node's interval.
 		for i := 0; i < nTotal; i++ {
-			n := cl.Node(i)
-			if !faultFree && !cl.Alive(i) {
+			if health[i] == core.Dead {
 				busy[i] = 0
 				continue
 			}
+			n := cl.Node(i)
+			role := cl.Role(i)
+			tb := &ep.tables[ep.nodeModel[i]]
+			phases, c := tb.sim[syncIdx], win.sim
+			if role == core.RoleAnalysis {
+				phases, c = tb.ana[syncIdx], win.ana
+			}
+			if scale[role] != 1 {
+				phases = tb.scaled[role]
+			}
+			if st.noise != nil {
+				// The window's length and capacity end where the next
+				// node's draws begin, so an over-read panics instead of
+				// consuming them. An over-counted window is not caught
+				// here (see noiseWindow).
+				n.SetNoiseTrace(win.draws[o : o+c : o+c])
+				o += c
+			}
+			traced := cfg.TraceSegments && (i == 0 || i == nSim)
 			var t units.Seconds
-			if fast {
-				// Pre-adapted tables: no per-execution adaptation, no
-				// Phase copy, no fault work-scaling (scale is 1).
-				phases, c := ep.nodeSim[i][syncIdx], win.sim
-				if cl.Role(i) == core.RoleAnalysis {
-					phases, c = ep.nodeAna[i][syncIdx], win.ana
-				}
-				if st.noise != nil {
-					// The window's length and capacity end where the
-					// next node's draws begin, so an over-read panics
-					// instead of consuming them. An over-counted
-					// window is not caught here (see noiseWindow).
-					n.SetNoiseTrace(win.draws[o : o+c : o+c])
-					o += c
-				}
-				for k := range phases {
-					t += n.RunAdapted(&phases[k], &cfg.Noise).Duration
-				}
-			} else {
-				// Fault work-scaling multiplies the *raw* nominal before
-				// adaptation (scale*(nominal/speed) != (scale*nominal)/speed
-				// in floating point), so faulted — and traced — runs keep
-				// the original RunTrusted path bit for bit.
-				phases := simPhases
-				if cl.Role(i) == core.RoleAnalysis {
-					phases = anaPhases
-				}
-				for _, ph := range phases {
-					if s := scale[cl.Role(i)]; s != 1 {
-						ph.Nominal = units.Seconds(float64(ph.Nominal) * s)
-					}
-					exec := n.RunTrusted(ph, cfg.Noise)
-					t += exec.Duration
-					if cfg.TraceSegments && (i == 0 || i == nSim) {
-						seg := Segment{Start: ep.clock + t - exec.Duration, Duration: exec.Duration, Power: exec.Power}
-						if i == 0 {
-							res.SimSegments = append(res.SimSegments, seg)
-						} else {
-							res.AnaSegments = append(res.AnaSegments, seg)
-						}
-					}
+			for k := range phases {
+				exec := n.RunAdapted(&phases[k], &cfg.Noise)
+				t += exec.Duration
+				if traced {
+					res.addSegment(i == 0, Segment{Start: ep.clock + t - exec.Duration, Duration: exec.Duration, Power: exec.Power})
 				}
 			}
 			// The previous allocation's overhead is part of this
@@ -504,7 +563,7 @@ func (ep *Episode) Run(ctx context.Context, prm EpisodeParams) (*Result, error) 
 		// re-injecting a corpse's stale cap into the budget pool).
 		for i := 0; i < nTotal; i++ {
 			n := cl.Node(i)
-			if !faultFree && !cl.Alive(i) {
+			if health[i] == core.Dead {
 				measures[i] = core.NodeMeasure{NodeID: i, Health: core.Dead, Role: cl.Role(i)}
 				continue
 			}
@@ -518,17 +577,8 @@ func (ep *Episode) Run(ctx context.Context, prm EpisodeParams) (*Result, error) 
 					idleM.Observe(float64(wait))
 				}
 				if cfg.TraceSegments && (i == 0 || i == nSim) {
-					seg := Segment{Start: ep.clock + busy[i], Duration: wait, Power: exec.Power}
-					if i == 0 {
-						res.SimSegments = append(res.SimSegments, seg)
-					} else {
-						res.AnaSegments = append(res.AnaSegments, seg)
-					}
+					res.addSegment(i == 0, Segment{Start: ep.clock + busy[i], Duration: wait, Power: exec.Power})
 				}
-			}
-			health := core.Healthy
-			if !faultFree {
-				health = cl.Health(i)
 			}
 			en := n.RAPL().Energy()
 			e := en - lastEnergy[i]
@@ -538,7 +588,7 @@ func (ep *Episode) Run(ctx context.Context, prm EpisodeParams) (*Result, error) 
 			// copies it in (a measurable duffcopy at scale).
 			m := &measures[i]
 			m.NodeID = i
-			m.Health = health
+			m.Health = health[i]
 			m.Role = cl.Role(i)
 			m.Time = wall // allocator-to-allocator interval: work + sync wait
 			m.BusyTime = busy[i]
@@ -552,8 +602,8 @@ func (ep *Episode) Run(ctx context.Context, prm EpisodeParams) (*Result, error) 
 		ep.clock += wall
 		rec := buildRecord(syncIdx+1, measures, nSim, overhead)
 		res.SyncLog.Add(rec)
-		if cfg.Telemetry != nil {
-			cfg.Telemetry.SyncBarrier(float64(ep.clock), rec.Step,
+		if tel != nil {
+			tel.SyncBarrier(float64(ep.clock), rec.Step,
 				float64(wall), float64(rec.SimTime), float64(rec.AnaTime), rec.Slack(), float64(overhead))
 			// Job-level budget check: summed measured power against the
 			// global budget (small tolerance for enforcement slack). Dead
@@ -562,7 +612,7 @@ func (ep *Episode) Run(ctx context.Context, prm EpisodeParams) (*Result, error) 
 				aliveSim, aliveAna := cl.AliveCounts()
 				total := float64(rec.SimPower)*float64(aliveSim) + float64(rec.AnaPower)*float64(aliveAna)
 				if budget := float64(prm.Constraints.Budget); total > budget*1.01 {
-					cfg.Telemetry.BudgetViolation(float64(ep.clock), "job", total, budget, true)
+					tel.BudgetViolation(float64(ep.clock), "job", total, budget, true)
 				}
 			}
 		}
@@ -574,7 +624,7 @@ func (ep *Episode) Run(ctx context.Context, prm EpisodeParams) (*Result, error) 
 			if caps != nil {
 				for i := 0; i < nTotal; i++ {
 					n := cl.Node(i)
-					if (faultFree || cl.Alive(i)) && caps[i] > 0 && caps[i] != n.RAPL().LongCap() {
+					if health[i] != core.Dead && caps[i] > 0 && caps[i] != n.RAPL().LongCap() {
 						n.RAPL().SetLongCap(caps[i])
 						if prm.CapMode == CapLongShort {
 							n.RAPL().SetShortCap(caps[i])

@@ -78,6 +78,7 @@ func FindBestStaticSplit(ctx context.Context, cfg Config, stepW units.Watts) (*O
 			InitialSimCap: simCap,
 			InitialAnaCap: anaCap,
 			CapMode:       cfg.CapMode,
+			Telemetry:     cfg.Telemetry,
 		})
 	}
 

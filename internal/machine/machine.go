@@ -423,12 +423,12 @@ func (n *Node) Run(ph Phase, noise NoiseModel) Execution {
 
 // ValidatePhase checks a phase against this device exactly as Run
 // would (after device adaptation). Drivers that pre-validate their
-// phase tables once pair it with Node.RunTrusted.
+// phase tables once pair it with Adapt and Node.RunAdapted.
 func (m Model) ValidatePhase(ph Phase) error { return m.adapt(ph).Validate(m) }
 
-// RunTrusted is Run for drivers that pre-validate their phase tables
-// once per job (the pooled episode fast path): it skips the
-// per-execution Validate call and is byte-identical to Run for any
+// RunTrusted is Run without the per-execution Validate call, for a
+// caller that validated the phase already: it still adapts and copies
+// the phase on every execution, and is byte-identical to Run for any
 // phase Run would accept.
 func (n *Node) RunTrusted(ph Phase, noise NoiseModel) Execution {
 	ph = n.model.adapt(ph)
@@ -443,10 +443,11 @@ func (m Model) Adapt(ph Phase) Phase { return m.adapt(ph) }
 
 // RunAdapted executes a phase that was already adapted by — and
 // validated against — this node's model (via Adapt/ValidatePhase). It
-// is byte-identical to RunTrusted on the unadapted phase; the pooled
-// episode fast path uses it with pre-adapted tables so neither the
-// adaptation nor the phase and noise-model copies are paid per
-// execution. The phase and noise model are read, never retained.
+// is byte-identical to RunTrusted on the unadapted phase; the cosim
+// episode loop runs every phase through it, from tables adapted once,
+// so neither the adaptation nor the phase and noise-model copies are
+// paid per execution. The phase and noise model are read, never
+// retained.
 func (n *Node) RunAdapted(ph *Phase, noise *NoiseModel) Execution {
 	return n.runAdapted(ph, noise)
 }

@@ -57,9 +57,10 @@ type Spec struct {
 	// Classes assigns device classes to node ids (machine.ClassMap
 	// grammar); nil keeps the cluster homogeneous.
 	Classes *machine.ClassMap
-	// Telemetry, when non-nil, instruments the underlying run.
-	// Instrumented episodes bypass the episode pool: telemetry counters
-	// are cumulative per node population, so each run gets a fresh one.
+	// Telemetry, when non-nil, instruments the underlying run. It is
+	// an episode parameter like the budget: instrumented space-shared
+	// episodes run on the pooled episode, the same path as plain ones,
+	// and the job key does not name the hub.
 	Telemetry *telemetry.Hub
 	// NoNoiseMemo disables the job's noise-trace memoization
 	// (cosim.Config.NoNoiseMemo): episodes draw jitter live from the
@@ -95,8 +96,9 @@ func (s Spec) constraints(physicalNodes int) core.Constraints {
 
 // jobKey identifies the episode-invariant part of a space-shared spec:
 // everything cosim.NewJobState reads plus the cluster seeds and noise.
-// Budget, window and policy are episode parameters and stay out of the
-// key, so a grid sweep over them shares one cosim.JobState.
+// Budget, window, policy and telemetry hub are episode parameters and
+// stay out of the key, so a grid sweep over them shares one
+// cosim.JobState (TestJobKeyCoversSpec pins the split).
 func (s Spec) jobKey() string {
 	w := s.Workload
 	key := fmt.Sprintf("n%d+%d/dim%d/j%d/steps%d/an=%v/nst=%t/seed=%d.%d/noise=%+v/faults=%s/classes=%s",
@@ -108,19 +110,16 @@ func (s Spec) jobKey() string {
 	return key
 }
 
-// cosimConfig assembles the space-shared driver configuration.
-func (s Spec) cosimConfig(pol core.Policy) cosim.Config {
+// jobConfig assembles the space-shared job's cosim.Config: the fields
+// jobKey names, which cosim.NewJobState reads.
+func (s Spec) jobConfig() cosim.Config {
 	return cosim.Config{
 		Spec:        s.Workload,
-		Policy:      pol,
-		Constraints: s.constraints(s.Workload.SimNodes + s.Workload.AnaNodes),
-		CapMode:     cosim.CapLong,
 		Seed:        s.Seed,
 		RunSeed:     s.RunSeed,
 		Noise:       s.Noise,
 		Faults:      s.Faults,
 		Classes:     s.Classes,
-		Telemetry:   s.Telemetry,
 		NoNoiseMemo: s.NoNoiseMemo,
 	}
 }
@@ -180,15 +179,7 @@ func (e *Env) Rollout(ctx context.Context, spec Spec, pol core.Policy) (*Result,
 	if spec.Topology != "" && spec.Topology != "space-shared" {
 		return runWorkflow(ctx, spec, pol)
 	}
-	var res *cosim.Result
-	var err error
-	if spec.Telemetry != nil {
-		// Instrumented episodes run the plain one-shot driver so every
-		// run reports fresh per-population counters.
-		res, err = cosim.Run(ctx, spec.cosimConfig(pol))
-	} else {
-		res, err = e.runPooled(ctx, spec, pol)
-	}
+	res, err := e.runPooled(ctx, spec, pol)
 	if err != nil {
 		return nil, err
 	}
@@ -205,7 +196,7 @@ func (e *Env) Rollout(ctx context.Context, spec Spec, pol core.Policy) (*Result,
 // precompute; the Episode is rebuilt only when the job key changes.
 func (e *Env) runPooled(ctx context.Context, spec Spec, pol core.Policy) (*cosim.Result, error) {
 	if key := spec.jobKey(); e.ep == nil || e.epKey != key {
-		st, err := e.cache.state(key, spec.cosimConfig(nil))
+		st, err := e.cache.state(key, spec.jobConfig())
 		if err != nil {
 			return nil, err
 		}
@@ -219,6 +210,7 @@ func (e *Env) runPooled(ctx context.Context, spec Spec, pol core.Policy) (*cosim
 		Policy:      pol,
 		Constraints: spec.constraints(spec.Workload.SimNodes + spec.Workload.AnaNodes),
 		CapMode:     cosim.CapLong,
+		Telemetry:   spec.Telemetry,
 	})
 }
 

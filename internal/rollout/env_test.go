@@ -181,7 +181,7 @@ func TestNoiseMemoGolden(t *testing.T) {
 		spec.Faults = nil // fault-free so the memo path actually engages
 		tc.edit(&spec)
 		n := spec.Workload.SimNodes + spec.Workload.AnaNodes
-		st, err := NewStateCache().state(spec.jobKey(), spec.cosimConfig(nil))
+		st, err := NewStateCache().state(spec.jobKey(), spec.jobConfig())
 		if err != nil {
 			t.Fatal(err)
 		}

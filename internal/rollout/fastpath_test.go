@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"runtime/debug"
 	"testing"
 
 	"seesaw/internal/core"
 	"seesaw/internal/cosim"
+	"seesaw/internal/fault"
 	"seesaw/internal/machine"
 	"seesaw/internal/policy"
 	"seesaw/internal/units"
@@ -143,13 +145,26 @@ func TestEnvPooledAcrossEpisodeParams(t *testing.T) {
 // result, sync-log backing) and none per synchronization, so ten times
 // the steps must not cost a single extra allocation. It covers every
 // policy the search benchmark runs; the adaptive ones keep their caps
-// in scratch reused across Allocate calls.
+// in scratch reused across Allocate calls. The faulted case pins the
+// per-interval work-scaled tables and the episode's health copy as
+// allocation-free too (its fault log is a fixed cost per episode).
 func TestRolloutZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's runtime perturbs allocation counts")
 	}
-	for _, name := range []string{"seesaw", "time-aware", "power-aware", "static"} {
-		t.Run(name, func(t *testing.T) {
+	cases := []struct{ name, policy, faults string }{
+		{"seesaw", "seesaw", ""},
+		{"time-aware", "time-aware", ""},
+		{"power-aware", "power-aware", ""},
+		{"static", "static", ""},
+		{"seesaw-faulted", "seesaw", "slow:0@5x2+5,kill:7@10"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			plan, err := fault.Parse(tc.faults)
+			if err != nil {
+				t.Fatal(err)
+			}
 			allocs := func(steps int) float64 {
 				spec := Spec{
 					Workload: workload.Spec{
@@ -160,8 +175,9 @@ func TestRolloutZeroAllocs(t *testing.T) {
 					Seed:    21,
 					RunSeed: 22,
 					Noise:   machine.DefaultNoise(),
+					Faults:  plan,
 				}
-				fac, err := policy.Lookup(name)
+				fac, err := policy.Lookup(tc.policy)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -177,6 +193,13 @@ func TestRolloutZeroAllocs(t *testing.T) {
 				}
 				// Warm the pool: episode, RAPL windows, policy scratch.
 				rollout()
+				// Collections empty sync.Pools (fmt's printer cache,
+				// which jobKey uses), and refilling them after one
+				// counts as a few allocations; a 4000-step episode sees
+				// more collections than a 400-step one. With the
+				// collector off only the rollout's own allocations
+				// count.
+				defer debug.SetGCPercent(debug.SetGCPercent(-1))
 				return testing.AllocsPerRun(5, rollout)
 			}
 			short, long := allocs(400), allocs(4000)

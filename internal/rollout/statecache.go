@@ -23,9 +23,10 @@ import (
 const DefaultCacheBytes int64 = 512 << 20
 
 // entrySizeFloor is the accounted size of an entry whose job records
-// no noise traces (faulted/traced/NoNoiseMemo jobs): the phase tables
-// and schedule are small but not free, and a zero size would let
-// unbounded numbers of such entries pile up below the byte bound.
+// no noise traces (faulted or NoNoiseMemo jobs, instrumented or not):
+// the phase tables and schedule are small but not free, and a zero
+// size would let unbounded numbers of such entries pile up below the
+// byte bound.
 const entrySizeFloor int64 = 16 << 10
 
 // StateCache shares cosim.JobState precompute across environments: one

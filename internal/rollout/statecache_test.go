@@ -45,7 +45,7 @@ func TestStateCacheBound(t *testing.T) {
 	// shape: room for two entries plus slack, not three.
 	probe := countingCache(0, &builds, nil)
 	s0 := cacheSpec(t, 0)
-	st0, err := probe.state(s0.jobKey(), s0.cosimConfig(nil))
+	st0, err := probe.state(s0.jobKey(), s0.jobConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,12 +60,12 @@ func TestStateCacheBound(t *testing.T) {
 	for i := range keys {
 		s := cacheSpec(t, i)
 		keys[i] = s.jobKey()
-		if _, err := c.state(keys[i], s.cosimConfig(nil)); err != nil {
+		if _, err := c.state(keys[i], s.jobConfig()); err != nil {
 			t.Fatal(err)
 		}
 		if i == 1 {
 			// Touch entry 0 so entry 1 is the LRU victim when 2 lands.
-			if _, err := c.state(keys[0], cacheSpec(t, 0).cosimConfig(nil)); err != nil {
+			if _, err := c.state(keys[0], cacheSpec(t, 0).jobConfig()); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -83,13 +83,13 @@ func TestStateCacheBound(t *testing.T) {
 	// keys[1] was LRU at eviction time: re-requesting it rebuilds,
 	// re-requesting the touched keys[0] must not.
 	before := builds.Load()
-	if _, err := c.state(keys[0], cacheSpec(t, 0).cosimConfig(nil)); err != nil {
+	if _, err := c.state(keys[0], cacheSpec(t, 0).jobConfig()); err != nil {
 		t.Fatal(err)
 	}
 	if builds.Load() != before {
 		t.Error("recently-used entry was evicted")
 	}
-	if _, err := c.state(keys[1], cacheSpec(t, 1).cosimConfig(nil)); err != nil {
+	if _, err := c.state(keys[1], cacheSpec(t, 1).jobConfig()); err != nil {
 		t.Fatal(err)
 	}
 	if builds.Load() != before+1 {
@@ -106,7 +106,7 @@ func TestStateCacheSingleflight(t *testing.T) {
 	gate := make(chan struct{})
 	c := countingCache(0, &builds, gate)
 	s := cacheSpec(t, 0)
-	key, cfg := s.jobKey(), s.cosimConfig(nil)
+	key, cfg := s.jobKey(), s.jobConfig()
 
 	const callers = 8
 	states := make([]*cosim.JobState, callers)
@@ -157,10 +157,10 @@ func TestStateCacheErrorNotCached(t *testing.T) {
 		return cosim.NewJobState(cfg)
 	}
 	s := cacheSpec(t, 0)
-	if _, err := c.state(s.jobKey(), s.cosimConfig(nil)); !errors.Is(err, boom) {
+	if _, err := c.state(s.jobKey(), s.jobConfig()); !errors.Is(err, boom) {
 		t.Fatalf("first lookup error = %v, want boom", err)
 	}
-	if _, err := c.state(s.jobKey(), s.cosimConfig(nil)); err != nil {
+	if _, err := c.state(s.jobKey(), s.jobConfig()); err != nil {
 		t.Fatalf("retry after failed build: %v", err)
 	}
 	if builds.Load() != 2 {
@@ -177,12 +177,12 @@ func TestStateCacheTelemetry(t *testing.T) {
 	c.SetTelemetry(hub)
 	for i := 0; i < 3; i++ {
 		s := cacheSpec(t, i)
-		if _, err := c.state(s.jobKey(), s.cosimConfig(nil)); err != nil {
+		if _, err := c.state(s.jobKey(), s.jobConfig()); err != nil {
 			t.Fatal(err)
 		}
 	}
 	s := cacheSpec(t, 2) // newest entry is retained: this is a hit
-	if _, err := c.state(s.jobKey(), s.cosimConfig(nil)); err != nil {
+	if _, err := c.state(s.jobKey(), s.jobConfig()); err != nil {
 		t.Fatal(err)
 	}
 	st := c.Stats()
@@ -250,7 +250,7 @@ func TestStateCacheKeyIndependence(t *testing.T) {
 	var last int64
 	for i := 0; i < 3; i++ {
 		s := cacheSpec(t, i)
-		if _, err := c.state(s.jobKey(), s.cosimConfig(nil)); err != nil {
+		if _, err := c.state(s.jobKey(), s.jobConfig()); err != nil {
 			t.Fatal(err)
 		}
 		st := c.Stats()

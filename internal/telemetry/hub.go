@@ -540,6 +540,17 @@ func (h *Hub) NodeRecovered(t float64, node int, role string, sync int) {
 	h.Emit(NodeRecovered{T: t, Node: node, Role: role, Sync: sync})
 }
 
+// DegradedSettled removes n nodes of one partition from the
+// degraded-nodes gauge without an event or a fault count: their run
+// ended, or was cancelled, inside a slow excursion, so they no longer
+// run degraded, but they did not recover either.
+func (h *Hub) DegradedSettled(role string, n int) {
+	if h == nil {
+		return
+	}
+	h.degrGauge.With(role).Add(-float64(n))
+}
+
 // StageStart reports a workflow stage beginning its work for one
 // synchronization interval (from the stage's first rank only).
 func (h *Hub) StageStart(t float64, stage string, sync int) {

@@ -276,6 +276,9 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	// A job that ends, or is cancelled, inside a slow excursion must not
+	// leave its nodes on the hub's degraded gauge.
+	defer cl.Settle()
 
 	res := &Result{
 		SyncLog:   &trace.SyncLog{},

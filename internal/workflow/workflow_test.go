@@ -10,6 +10,7 @@ import (
 
 	"seesaw/internal/core"
 	"seesaw/internal/fault"
+	"seesaw/internal/telemetry"
 	"seesaw/internal/units"
 )
 
@@ -308,5 +309,40 @@ func BenchmarkTopologies(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// TestDegradedGaugeSettles: a job that ends inside a slow excursion
+// takes its node off the hub's degraded gauge when Run returns, with no
+// NodeRecovered event, so repeated jobs on one hub do not pile up
+// stale degraded nodes.
+func TestDegradedGaugeSettles(t *testing.T) {
+	hub := telemetry.New(telemetry.Options{})
+	plan, err := fault.Parse("slow:0@2x2+100")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		cfg := topologyConfig(t, "space-shared", 8, 8, 2, staticPolicy)
+		cfg.Faults, cfg.Telemetry = plan, hub
+		if _, err := Run(context.Background(), cfg); err != nil {
+			t.Fatal(err)
+		}
+		g := hub.Registry().Gauge("seesaw_degraded_nodes", "", "partition").With("sim").Value()
+		if g != 0 {
+			t.Fatalf("job %d: seesaw_degraded_nodes{partition=\"sim\"} = %v after Run, want 0", i, g)
+		}
+	}
+	var degraded, recovered int
+	for _, e := range hub.Events() {
+		switch e.(type) {
+		case telemetry.NodeDegraded:
+			degraded++
+		case telemetry.NodeRecovered:
+			recovered++
+		}
+	}
+	if degraded != 2 || recovered != 0 {
+		t.Errorf("events: %d NodeDegraded, %d NodeRecovered; want 2 and 0", degraded, recovered)
 	}
 }
