@@ -1,7 +1,7 @@
 # Tier-1 gate: everything `make check` runs must stay green.
 GO ?= go
 
-.PHONY: all build check fmt vet staticcheck test race bench bench-scale bench-scale-profile bench-scale-smoke bench-rollouts bench-rollouts-profile memo-golden-smoke batch-race-smoke fuzz-smoke bench-smoke clean
+.PHONY: all build check fmt vet staticcheck test race bench-scale-smoke memo-golden-smoke batch-race-smoke fuzz-smoke bench-smoke clean
 
 all: build
 
@@ -40,38 +40,6 @@ test:
 race:
 	$(GO) test -race ./...
 
-bench:
-	$(GO) test -run xxx -bench . -benchtime 1x .
-
-# bench-scale measures the substrate at 256/1024/4096 ranks: the mpi
-# collective/mailbox microbenchmarks, the whole-job insitu macro
-# benchmark, and the telemetry hot paths under a GOMAXPROCS 1/4/8
-# scaling study (-cpu re-runs each benchmark at every parallelism
-# level). Results feed BENCH_scale.json / BENCH_scale2.json (see
-# EXPERIMENTS.md).
-bench-scale:
-	$(GO) test -run xxx -bench . -benchtime 2s ./internal/mpi/
-	$(GO) test -run xxx -bench BenchmarkInsituScale -benchtime 1x -count 3 ./internal/insitu/
-	$(GO) test -run xxx -bench BenchmarkTopologies -benchtime 1x -count 3 ./internal/workflow/
-	$(GO) test -run xxx -bench BenchmarkRollouts -benchtime 2s ./internal/rollout/
-	$(GO) test -run xxx -bench BenchmarkHetero -benchtime 1x -count 3 ./internal/cosim/
-	$(GO) test -run xxx -bench . -benchtime 1s -cpu 1,4,8 ./internal/telemetry/
-
-# bench-scale-profile repeats the measurement run with CPU and heap
-# profiles written per package (insitu.cpu.out etc.); CI uploads them
-# as artifacts so a regression can be diagnosed from the run itself.
-bench-scale-profile:
-	$(GO) test -run xxx -bench . -benchtime 1s \
-		-cpuprofile mpi.cpu.out -memprofile mpi.mem.out ./internal/mpi/
-	$(GO) test -run xxx -bench BenchmarkInsituScale -benchtime 1x \
-		-cpuprofile insitu.cpu.out -memprofile insitu.mem.out ./internal/insitu/
-	$(GO) test -run xxx -bench BenchmarkTopologies -benchtime 1x \
-		-cpuprofile workflow.cpu.out -memprofile workflow.mem.out ./internal/workflow/
-	$(GO) test -run xxx -bench BenchmarkRollouts -benchtime 1x \
-		-cpuprofile rollout.cpu.out -memprofile rollout.mem.out ./internal/rollout/
-	$(GO) test -run xxx -bench . -benchtime 0.3s -cpu 4 \
-		-cpuprofile telemetry.cpu.out -memprofile telemetry.mem.out ./internal/telemetry/
-
 # bench-scale-smoke runs every scale benchmark for one iteration — a
 # correctness gate (part of `make check`), not a measurement. CI runs
 # it at GOMAXPROCS=1 (via `make check`) and again at GOMAXPROCS=4 so
@@ -83,24 +51,6 @@ bench-scale-smoke:
 	$(GO) test -run xxx -bench 'BenchmarkRollouts/nodes=256' -benchtime 1x ./internal/rollout/
 	$(GO) test -run xxx -bench 'BenchmarkHetero/nodes=256' -benchtime 1x ./internal/cosim/
 	$(GO) test -run xxx -bench . -benchtime 1x ./internal/telemetry/
-
-# bench-rollouts measures the policy-search fast path in isolation:
-# pooled-Env episode throughput at 256/1024/4096 nodes, the unpooled
-# fresh-Env baseline, and the batched grid sweep at jobs=1/4/8. The
-# batch benchmark re-runs at GOMAXPROCS 1/4/8 (-cpu) so jobs>1 rows
-# measure real parallelism; jobs>1 under one core skips with a note.
-# Interleaved A/B medians of these runs feed BENCH_rollouts2.json and
-# BENCH_rollouts3.json (see EXPERIMENTS.md).
-bench-rollouts:
-	$(GO) test -run xxx -bench 'BenchmarkRollouts$$|BenchmarkRolloutsFresh$$' -benchtime 2s ./internal/rollout/
-	$(GO) test -run xxx -bench BenchmarkRolloutsBatch -benchtime 2s -cpu 1,4,8 ./internal/rollout/
-
-# bench-rollouts-profile repeats the pooled run with CPU and heap
-# profiles (rollout.cpu.out / rollout.mem.out); CI uploads them as
-# artifacts so a throughput regression can be diagnosed from the run.
-bench-rollouts-profile:
-	$(GO) test -run xxx -bench '^BenchmarkRollouts$$' -benchtime 1x -count 5 \
-		-cpuprofile rollout.cpu.out -memprofile rollout.mem.out ./internal/rollout/
 
 # memo-golden-smoke pins at the CLI that neither noise-trace
 # memoization nor observing changes a result: the same small search

@@ -272,11 +272,6 @@ func New(cfg Config) (*Cluster, error) {
 				Weight: w,
 			}
 		}
-		// The phase execution model only ever queries the sustained
-		// enforcement level, so the domains skip the transient-window
-		// bookkeeping (telemetry-attached domains keep it for violation
-		// reporting).
-		raplCfg.SustainedOnly = true
 		c.nodes[i] = machine.NewNodeWithSeeds(i, raplCfg, model, noise, cfg.JobSeed, runSeed)
 		if i < cfg.SimNodes {
 			c.roles[i] = core.RoleSimulation

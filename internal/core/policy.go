@@ -129,6 +129,19 @@ type NodeMeasure struct {
 	NodeCapability
 }
 
+// epochWaitShare is the fraction of the synchronization wait a
+// loop-level (epoch) monitor attributes to the iteration itself: epoch
+// markers bracket the whole loop body, so most of the wait is folded
+// into the apparent iteration time.
+const epochWaitShare = 0.8
+
+// EpochTime is the epoch-time model every driver fills
+// NodeMeasure.EpochTime from: a node's busy time plus epochWaitShare of
+// the rest of its interval (the synchronization wait).
+func EpochTime(busy, interval units.Seconds) units.Seconds {
+	return busy + (interval-busy)*epochWaitShare
+}
+
 // NodeCapability describes a node's device class as the allocators see
 // it: the per-node clamp range its RAPL domain supports and a
 // capability weight (unconstrained speed on the reference compute

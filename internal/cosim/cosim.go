@@ -183,48 +183,6 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	})
 }
 
-// epochWaitShare is the fraction of the synchronization wait a
-// loop-level (epoch) monitor attributes to the iteration itself: epoch
-// markers bracket the whole loop body, so most of the wait is folded
-// into the apparent iteration time.
-const epochWaitShare = 0.8
-
-// buildRecord aggregates per-node measures into a SyncRecord with
-// per-node partition powers.
-func buildRecord(step int, measures []core.NodeMeasure, nSim int, overhead units.Seconds) trace.SyncRecord {
-	rec := trace.SyncRecord{Step: step, Overhead: overhead}
-	var nS, nA int
-	for i := range measures {
-		m := &measures[i]
-		if m.Health == core.Dead {
-			continue // corpses carry no time or power
-		}
-		switch m.Role {
-		case core.RoleSimulation:
-			nS++
-			rec.SimPower += m.Power
-			rec.SimCap = m.Cap
-			if m.BusyTime > rec.SimTime {
-				rec.SimTime = m.BusyTime
-			}
-		case core.RoleAnalysis:
-			nA++
-			rec.AnaPower += m.Power
-			rec.AnaCap = m.Cap
-			if m.BusyTime > rec.AnaTime {
-				rec.AnaTime = m.BusyTime
-			}
-		}
-	}
-	if nS > 0 {
-		rec.SimPower /= units.Watts(nS)
-	}
-	if nA > 0 {
-		rec.AnaPower /= units.Watts(nA)
-	}
-	return rec
-}
-
 // SampleSegments resamples power segments at a fixed period (e.g. the
 // 200 ms of Figure 1), returning one power value per sample point.
 func SampleSegments(segs []Segment, period units.Seconds) []trace.Sample {

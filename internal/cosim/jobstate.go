@@ -592,7 +592,7 @@ func (ep *Episode) Run(ctx context.Context, prm EpisodeParams) (*Result, error) 
 			m.Role = cl.Role(i)
 			m.Time = wall // allocator-to-allocator interval: work + sync wait
 			m.BusyTime = busy[i]
-			m.EpochTime = busy[i] + (wall-busy[i])*epochWaitShare
+			m.EpochTime = core.EpochTime(busy[i], wall)
 			m.Power = units.AvgPower(e, wall)
 			m.Cap = n.RAPL().LongCap()
 			// Zero on a homogeneous cluster, so single-class runs
@@ -600,7 +600,7 @@ func (ep *Episode) Run(ctx context.Context, prm EpisodeParams) (*Result, error) 
 			m.NodeCapability = cl.Capability(i)
 		}
 		ep.clock += wall
-		rec := buildRecord(syncIdx+1, measures, nSim, overhead)
+		rec := trace.NewSyncRecord(syncIdx+1, measures, overhead)
 		res.SyncLog.Add(rec)
 		if tel != nil {
 			tel.SyncBarrier(float64(ep.clock), rec.Step,

@@ -22,8 +22,8 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/insitu_go
 // goldenConfig is chosen to exercise every piece of state the analysis
 // memoization must reproduce exactly: uneven partitions (so two distinct
 // source counts exist among the analysis ranks), all five analyses with
-// a mixed interval, node noise, short-term caps, a slow-node excursion
-// and a power-sampling monitor.
+// a mixed interval, node noise, short-term caps and a slow-node
+// excursion.
 func goldenConfig() Config {
 	n := 8
 	cons := core.Constraints{Budget: units.Watts(110 * n), MinCap: 98, MaxCap: 215}
@@ -44,7 +44,6 @@ func goldenConfig() Config {
 		Seed:              17,
 		Faults:            plan,
 		Noise:             machine.NoiseModel{SkewSigma: 0.02, PowerEffSigma: 0.03, JitterSigma: 0.01},
-		PowerSample:       0.5,
 	}
 }
 
@@ -80,25 +79,11 @@ func renderGolden(res *Result) []byte {
 		}
 		fmt.Fprintln(&b)
 	}
-	if res.PowerTrace != nil {
-		// Series registration order depends on goroutine scheduling
-		// (which rank grabs the result mutex first); the samples are what
-		// the determinism contract covers.
-		traceNames := res.PowerTrace.Names()
-		sort.Strings(traceNames)
-		for _, name := range traceNames {
-			fmt.Fprintf(&b, "power %s", name)
-			for _, s := range res.PowerTrace.Series(name).Samples {
-				fmt.Fprintf(&b, " %s:%s", hexFloat(float64(s.Time)), hexFloat(s.Value))
-			}
-			fmt.Fprintln(&b)
-		}
-	}
 	return b.Bytes()
 }
 
 // TestAnalysisMemoGolden pins the full job result — virtual times,
-// power trace, per-synchronization records and every analysis output
+// per-synchronization records and every analysis output
 // float — to the bytes the unmemoized (per-rank Consume) runtime
 // produced, captured before analysis-side memoization was introduced.
 // Both the memoized default and the -no-ana-memo escape hatch must

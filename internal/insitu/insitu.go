@@ -107,12 +107,6 @@ type Config struct {
 	ClassRegistry map[string]machine.Class
 	// Cost is the communication cost model (DefaultCost if zero).
 	Cost mpi.CostModel
-	// PowerSample, when positive, records per-node power traces sampled
-	// at this period via the PoLiMER monitoring API. Samples within one
-	// step are interpolated (the rank polls its monitor at step
-	// granularity); for phase-resolved traces use the cosim driver's
-	// TraceSegments.
-	PowerSample units.Seconds
 	// NoAnaMemo disables the analysis-side memoization (see anatrace.go)
 	// and runs every analysis rank's kernels in place, as the seed did.
 	// Escape hatch for A/B validation; results are byte-identical either
@@ -238,9 +232,6 @@ type Result struct {
 	// FinalSimEnergy is the MD total energy at the end (for physics
 	// sanity checks).
 	FinalSimEnergy float64
-	// PowerTrace holds per-partition sampled power when
-	// Config.PowerSample was set.
-	PowerTrace *trace.Recorder
 }
 
 // tags for point-to-point messages.
@@ -310,7 +301,6 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		Classes:       cfg.Classes,
 		ClassRegistry: cfg.ClassRegistry,
 		Cost:          cfg.Cost,
-		PowerSample:   cfg.PowerSample,
 		Telemetry:     cfg.Telemetry,
 	})
 	if err != nil {
@@ -321,7 +311,6 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	res.SyncLog = wres.SyncLog
 	res.TotalEnergy = wres.TotalEnergy
 	res.OverheadTotal = wres.OverheadTotal
-	res.PowerTrace = wres.PowerTrace
 	return res, nil
 }
 

@@ -226,33 +226,6 @@ func TestPolicyComparisonNoHarmOnVACF(t *testing.T) {
 	}
 }
 
-func TestPowerSampling(t *testing.T) {
-	cfg := tinyConfig(core.NewStatic(), []string{"msd"}, 10)
-	cfg.PowerSample = 2.0
-	res, err := Run(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.PowerTrace == nil {
-		t.Fatal("no power trace recorded")
-	}
-	names := res.PowerTrace.Names()
-	if len(names) != 4 {
-		t.Fatalf("traced %d nodes, want 4", len(names))
-	}
-	for _, name := range names {
-		s := res.PowerTrace.Series(name)
-		if s.Len() == 0 {
-			t.Errorf("series %s empty", name)
-		}
-		for _, v := range s.Values() {
-			if v < 50 || v > 220 {
-				t.Errorf("series %s sample %v outside plausible power range", name, v)
-			}
-		}
-	}
-}
-
 // TestTelemetryStream runs the full mpi-driven workflow with a hub
 // attached and verifies every instrumented layer reported: barrier
 // waits from the collectives, sync/policy events from the root, cap

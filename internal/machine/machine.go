@@ -509,7 +509,7 @@ func (n *Node) Idle(d units.Seconds) Execution {
 	if d == 0 {
 		return Execution{}
 	}
-	p := n.rapl.SustainedAllowed(n.model.IdlePower)
+	p, _ := n.rapl.Grant(n.model.IdlePower)
 	if p > n.model.IdlePower {
 		p = n.model.IdlePower
 	}

@@ -8,36 +8,75 @@ import (
 	"time"
 )
 
-// TestScaleSmoke1024 drives the full substrate surface at 1024 ranks in
-// one job: sharded collectives over the world group, Split
-// sub-communicators with their own shard layouts, and point-to-point
-// fan-in. Under -race (make check runs the package that way) this is
-// the memory-model audit of the sharded rendezvous — lock-free scratch
-// writes, counter cascades, gate releases and mailbox wakeups must all
-// form clean happens-before chains at full scale.
-func TestScaleSmoke1024(t *testing.T) {
+// The scale smokes run at two sizes because the rendezvous has two
+// paths: groups below shardSizeFor's threshold (2048 members) arrive
+// through one mutex+cond gate, larger groups through the lock-free
+// sharded arrival tree. At 1024 ranks every group takes the cond path;
+// at 2048 the world group takes the tree. Under -race (make check runs
+// the package that way) the 2048-rank runs are the memory-model audit
+// of the sharded rendezvous — lock-free scratch writes, counter
+// cascades, gate releases and their cancellation.
+
+// TestScaleSmoke1024 drives the substrate surface at 1024 ranks, where
+// every group takes the mutex+cond rendezvous.
+func TestScaleSmoke1024(t *testing.T) { scaleSmoke(t, 1024) }
+
+// TestScaleSmoke2048 drives the same surface at 2048 ranks, where the
+// world group's collectives run through the sharded arrival tree.
+func TestScaleSmoke2048(t *testing.T) {
+	requireSharded(t, 2048)
+	scaleSmoke(t, 2048)
+}
+
+// TestScaleSmokeCancel1024 cancels a 1024-rank job parked in a
+// mutex+cond barrier.
+func TestScaleSmokeCancel1024(t *testing.T) { scaleSmokeCancel(t, 1024) }
+
+// TestScaleSmokeCancel2048 cancels a 2048-rank job parked in the
+// sharded barrier: the gate walk must force-open every shard gate.
+func TestScaleSmokeCancel2048(t *testing.T) {
+	requireSharded(t, 2048)
+	scaleSmokeCancel(t, 2048)
+}
+
+// requireSharded fails when an n-member group no longer takes the
+// sharded path, so a raised threshold cannot silently drop the tree
+// from the audit.
+func requireSharded(t *testing.T, n int) {
+	t.Helper()
+	if shardSizeFor(n) >= n {
+		t.Fatalf("a %d-member group no longer shards; raise the smoke size to cover the arrival tree", n)
+	}
+}
+
+// scaleSmoke drives the full substrate surface at n ranks in one job:
+// collectives over the world group, Split sub-communicators and
+// point-to-point fan-in. The world group's mailbox wakeups and
+// rendezvous must form clean happens-before chains at full scale.
+func scaleSmoke(t *testing.T, n int) {
 	if testing.Short() {
 		t.Skip("scale smoke test")
 	}
-	const n = 1024
 	err := Run(n, DefaultCost(), func(r *Rank) {
 		w := r.World()
 		me := r.WorldRank()
 		for iter := 0; iter < 3; iter++ {
 			w.Barrier()
 			sum := w.AllreduceSum([]float64{1, float64(me)})
-			if sum[0] != n || sum[1] != n*(n-1)/2 {
+			if sum[0] != float64(n) || sum[1] != float64(n*(n-1)/2) {
 				panic(fmt.Sprintf("allreduce-sum wrong at scale: %v", sum))
 			}
-			if got := w.AllreduceMax([]float64{float64(me)})[0]; got != n-1 {
+			if got := w.AllreduceMax([]float64{float64(me)})[0]; got != float64(n-1) {
 				panic(fmt.Sprintf("allreduce-max wrong at scale: %v", got))
 			}
 		}
 
-		// Eight column sub-communicators: 128 members each, so their
-		// groups get a shard layout of their own.
+		// Eight column sub-communicators of n/8 members: below the
+		// sharding threshold, so they rendezvous through the
+		// mutex+cond gate even when the world group is sharded, and
+		// both paths run in one job.
 		sub := w.Split(me%8, me)
-		if got := sub.AllreduceSum([]float64{1})[0]; got != n/8 {
+		if got := sub.AllreduceSum([]float64{1})[0]; got != float64(n/8) {
 			panic(fmt.Sprintf("sub-communicator allreduce wrong: %v", got))
 		}
 		sub.Barrier()
@@ -61,15 +100,14 @@ func TestScaleSmoke1024(t *testing.T) {
 	}
 }
 
-// TestScaleSmokeCancel1024 parks 1023 ranks in a barrier that can never
-// complete (rank 0 never arrives — it is blocked in a receive with no
-// matching send) and cancels: every shard gate and the mailbox must be
+// scaleSmokeCancel parks n-1 ranks in a barrier that can never complete
+// (rank 0 never arrives — it is blocked in a receive with no matching
+// send) and cancels: every barrier gate and the mailbox must be
 // force-opened, and the job must return the context error promptly.
-func TestScaleSmokeCancel1024(t *testing.T) {
+func scaleSmokeCancel(t *testing.T, n int) {
 	if testing.Short() {
 		t.Skip("scale smoke test")
 	}
-	const n = 1024
 	ctx, cancel := context.WithCancel(context.Background())
 	errc := make(chan error, 1)
 	go func() {

@@ -8,8 +8,8 @@ import (
 // Scale microbenchmarks for the virtual-MPI substrate. Each b.N
 // iteration is one operation issued by every rank (collectives) or one
 // fan-in round (point-to-point), so ns/op is the wall-clock cost of one
-// substrate operation at that rank count. `make bench-scale` runs them
-// at full scale; `make check` smoke-runs them with -benchtime 1x.
+// substrate operation at that rank count. `make check` smoke-runs them
+// with -benchtime 1x (`make bench-scale-smoke`).
 
 // benchCollectiveRanks are the collective scale points: the paper's
 // largest Theta partition (1024) plus the 4096-rank frontier, with 256

@@ -93,17 +93,12 @@ type Manager struct {
 	syncStep int
 	log      *trace.SyncLog // root only
 	overhead units.Seconds  // cumulative allocator overhead (local)
-	monitor  *Monitor       // optional periodic power sampler
 
 	// idleWaitM is the telemetry handle for this partition's idle-trough
 	// histogram, resolved once at Init so PowerAlloc skips the registry's
 	// label lookup at every synchronization (nil when telemetry is off).
 	idleWaitM *telemetry.Metric
 }
-
-// AttachMonitor registers a Monitor that PowerAlloc polls at every
-// synchronization, so sampled power traces cover the waits too.
-func (m *Manager) AttachMonitor(mon *Monitor) { m.monitor = mon }
 
 // Init creates the rank's power manager and installs the initial cap.
 // It mirrors poli_init_power_manager(comm, me, master, power_cap): comm
@@ -190,7 +185,6 @@ func (m *Manager) PowerAlloc() {
 	if busy < 0 {
 		busy = 0
 	}
-	wait := dt - busy
 	m.extWait = 0
 	health := core.Healthy
 	if m.opts.Health != nil {
@@ -202,7 +196,7 @@ func (m *Manager) PowerAlloc() {
 		role:   m.role,
 		time:   dt,
 		busy:   busy,
-		epoch:  busy + units.Seconds(float64(wait)*0.8),
+		epoch:  core.EpochTime(busy, dt),
 		power:  avgPower,
 		cap:    m.node.RAPL().LongCap(),
 	}
@@ -223,9 +217,6 @@ func (m *Manager) PowerAlloc() {
 			m.idleWaitM.Observe(float64(wait))
 		}
 	}
-	if m.monitor != nil {
-		m.monitor.Poll()
-	}
 
 	// Policy evaluation on the root; everyone receives the caps.
 	var caps []units.Watts
@@ -241,7 +232,7 @@ func (m *Manager) PowerAlloc() {
 		}
 		caps = m.opts.Policy.Allocate(m.syncStep, nodes)
 		if m.log != nil {
-			rec := m.buildRecord(nodes, exchangeCost)
+			rec := trace.NewSyncRecord(m.syncStep, nodes, exchangeCost)
 			m.log.Add(rec)
 			if m.opts.Telemetry != nil {
 				m.opts.Telemetry.SyncBarrier(float64(m.rank.Clock()), rec.Step,
@@ -272,38 +263,4 @@ func (m *Manager) PowerAlloc() {
 	m.overhead += (m.rank.Clock() - merged) + exchangeCost
 	m.lastClock = arrival
 	m.lastEnergy = e + m.lastEnergy // energy at arrival
-}
-
-// buildRecord aggregates per-node measures into the root's SyncRecord.
-func (m *Manager) buildRecord(nodes []core.NodeMeasure, exchangeCost units.Seconds) trace.SyncRecord {
-	rec := trace.SyncRecord{Step: m.syncStep}
-	var nSim, nAna int
-	for _, n := range nodes {
-		switch n.Role {
-		case core.RoleSimulation:
-			nSim++
-			rec.SimPower += n.Power
-			rec.SimCap = n.Cap
-			if n.BusyTime > rec.SimTime {
-				rec.SimTime = n.BusyTime
-			}
-		case core.RoleAnalysis:
-			nAna++
-			rec.AnaPower += n.Power
-			rec.AnaCap = n.Cap
-			if n.BusyTime > rec.AnaTime {
-				rec.AnaTime = n.BusyTime
-			}
-		}
-	}
-	// Report per-node average power, matching the paper's per-node
-	// power plots.
-	if nSim > 0 {
-		rec.SimPower /= units.Watts(nSim)
-	}
-	if nAna > 0 {
-		rec.AnaPower /= units.Watts(nAna)
-	}
-	rec.Overhead = exchangeCost
-	return rec
 }

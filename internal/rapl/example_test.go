@@ -11,21 +11,12 @@ import (
 func ExampleDomain_SetLongCap() {
 	d := rapl.MustNewDomain(rapl.Theta())
 	d.SetLongCap(110)
-	fmt.Printf("before actuation: %v\n", d.SustainedAllowed(180))
+	before, _ := d.Grant(180)
+	fmt.Printf("before actuation: %v\n", before)
 	d.Advance(0.02, 100) // 20 ms pass
-	fmt.Printf("after actuation: %v\n", d.SustainedAllowed(180))
+	after, _ := d.Grant(180)
+	fmt.Printf("after actuation: %v\n", after)
 	// Output:
 	// before actuation: 180.0 W
 	// after actuation: 110.0 W
-}
-
-// The energy register wraps like the hardware MSR; EnergyUnwrapper
-// reconstructs the monotonic count.
-func ExampleEnergyUnwrapper() {
-	d := rapl.MustNewDomain(rapl.Theta())
-	var u rapl.EnergyUnwrapper
-	u.Update(d.EnergyRegister())
-	d.Advance(10, 110) // 1100 J
-	fmt.Println(u.Update(d.EnergyRegister()))
-	// Output: 1100.0 J
 }

@@ -5,17 +5,21 @@
 //
 // The simulation reproduces the RAPL properties the paper depends on:
 //
-//   - a long-term power cap enforced as a moving average over a 1 s
-//     window (so brief excursions above the cap are allowed while the
-//     window average remains below it);
+//   - a long-term power cap. Real RAPL enforces it as a moving average
+//     over a 1 s window, but every phase the machine model executes
+//     runs far longer than that window, so the cap binds at its
+//     sustained level: Grant clips demand to the cap directly. The
+//     domain keeps the 1 s window only to report enforcement
+//     violations to an attached telemetry hub;
 //   - an optional short-term cap with a ~9.766 ms window that bounds
-//     instantaneous draw and, when combined with the long cap, causes
-//     RAPL to regulate slightly below the requested limit;
+//     draw and, when combined with the long cap, causes RAPL to
+//     regulate slightly below the requested limit;
 //   - an actuation latency (~10 ms on Theta) between writing a new cap
 //     and the cap taking effect;
 //   - hardware bounds: caps are clamped to [MinCap, TDP] (98 W and 215 W
 //     on Theta's KNL 7230);
-//   - monotonically increasing energy counters used for power monitoring.
+//   - a monotonically increasing energy counter, from which PoLiMER
+//     measures each interval's average power.
 //
 // Time is virtual: callers advance the domain explicitly with the power
 // actually drawn, exactly as the machine model integrates phase execution.
@@ -48,15 +52,6 @@ type Config struct {
 	// paper observes that "RAPL limits the power slightly below the
 	// requested power" in that configuration.
 	DualCapMargin float64
-	// SustainedOnly declares that the domain's consumers only query the
-	// sustained enforcement level (SustainedAllowed), never the
-	// transient window behaviour (Allowed, WindowAverage). The domain
-	// then skips the per-Advance moving-average bookkeeping — unless a
-	// telemetry site is attached, which needs the window to report
-	// enforcement violations. The co-simulated cluster sets this: the
-	// phase execution model integrates whole phases, far longer than
-	// the 1 s window, so transient headroom never applies.
-	SustainedOnly bool
 }
 
 // Theta returns the RAPL configuration of a Theta KNL 7230 node.
@@ -109,7 +104,9 @@ type Domain struct {
 
 	pending []pendingCap
 
-	// moving-average window bookkeeping for long-term enforcement.
+	// moving-average window of the long-term cap, folded only while a
+	// telemetry site is attached (its one reader is the violation
+	// report).
 	window    []sample
 	windowJ   units.Joules
 	windowLen units.Seconds
@@ -254,11 +251,8 @@ func (d *Domain) effectiveTarget() units.Watts {
 }
 
 // noteThrottle reports engage transitions of demand clipping to the
-// telemetry hub (disengagement resets the state silently).
+// attached telemetry site (disengagement resets the state silently).
 func (d *Domain) noteThrottle(demand, allowed units.Watts) {
-	if d.site == nil {
-		return
-	}
 	if allowed < demand {
 		if !d.throttled {
 			d.throttled = true
@@ -277,89 +271,12 @@ func (d *Domain) windowAvg() units.Watts {
 	return units.AvgPower(d.windowJ, d.windowLen)
 }
 
-// Allowed returns the power the domain permits a workload demanding
-// demand Watts to draw at the current instant. Enforcement model:
-//
-//   - with no caps, draw is bounded only by min(demand, TDP);
-//   - with a long cap, draw above the cap is permitted while the
-//     window average remains below the cap (transient headroom), and
-//     limited to the cap once the window is saturated;
-//   - a short cap bounds instantaneous draw directly;
-//   - with both caps set, regulation targets cap*(1-DualCapMargin).
-func (d *Domain) Allowed(demand units.Watts) units.Watts {
-	d.applyPending()
-	allowed := demand
-	if allowed > d.cfg.TDP {
-		allowed = d.cfg.TDP
-	}
-	if d.longCap > 0 {
-		target := d.longCap
-		if d.shortCap > 0 {
-			target = units.Watts(float64(target) * (1 - d.cfg.DualCapMargin))
-		}
-		if d.windowAvg() >= target {
-			// Window saturated: regulate to the target.
-			if allowed > target {
-				allowed = target
-			}
-		} else {
-			// Transient headroom: permit short excursions bounded by
-			// the short cap (or TDP if none).
-			limit := d.cfg.TDP
-			if d.shortCap > 0 {
-				limit = units.Watts(float64(d.shortCap) * (1 - d.cfg.DualCapMargin))
-			}
-			if allowed > limit {
-				allowed = limit
-			}
-		}
-	} else if d.shortCap > 0 {
-		if allowed > d.shortCap {
-			allowed = d.shortCap
-		}
-	}
-	if allowed < 0 {
-		allowed = 0
-	}
-	d.noteThrottle(demand, allowed)
-	return allowed
-}
-
-// SustainedAllowed returns the power a workload demanding demand Watts
-// may draw when executing for much longer than the enforcement windows:
-// the transient headroom of the moving average is irrelevant at that
-// horizon, so caps apply directly (with the dual-cap margin). The
-// machine model uses this for phase execution; Allowed models the
-// instantaneous (window-dependent) behaviour.
-func (d *Domain) SustainedAllowed(demand units.Watts) units.Watts {
-	d.applyPending()
-	allowed := demand
-	if allowed > d.cfg.TDP {
-		allowed = d.cfg.TDP
-	}
-	if d.longCap > 0 {
-		target := d.longCap
-		if d.shortCap > 0 {
-			target = units.Watts(float64(target) * (1 - d.cfg.DualCapMargin))
-		}
-		if allowed > target {
-			allowed = target
-		}
-	}
-	if d.shortCap > 0 && allowed > d.shortCap {
-		allowed = d.shortCap
-	}
-	if allowed < 0 {
-		allowed = 0
-	}
-	d.noteThrottle(demand, allowed)
-	return allowed
-}
-
-// Grant is SustainedAllowed plus the dual-cap regulation flag in one
-// call: the phase execution model needs both per execution, and the
-// separate accessors each re-check the pending cap queue. The allowance
-// is computed exactly as SustainedAllowed computes it.
+// Grant returns the power a workload demanding demand Watts may draw,
+// and whether both caps are set (RAPL then regulates below the long
+// cap by the dual-cap margin). The allowance is the sustained level:
+// demand clipped to TDP, to the long cap (lowered by the margin when a
+// short cap is also set) and to the short cap. The phase execution
+// model asks for it once per execution.
 func (d *Domain) Grant(demand units.Watts) (allowed units.Watts, dual bool) {
 	d.applyPending()
 	allowed = demand
@@ -383,16 +300,14 @@ func (d *Domain) Grant(demand units.Watts) (allowed units.Watts, dual bool) {
 		allowed = 0
 	}
 	if d.site != nil {
-		// noteThrottle is a no-op without a site; guarding here keeps
-		// the call out of the uninstrumented hot path.
 		d.noteThrottle(demand, allowed)
 	}
 	return allowed, dual
 }
 
 // Advance moves virtual time forward by dt with the domain drawing p
-// Watts throughout, updating the energy counter and the enforcement
-// window. dt must be non-negative.
+// Watts throughout, updating the energy counter and, while a telemetry
+// site is attached, the enforcement window. dt must be non-negative.
 func (d *Domain) Advance(dt units.Seconds, p units.Watts) {
 	if dt < 0 {
 		panic("rapl: negative time advance")
@@ -402,20 +317,19 @@ func (d *Domain) Advance(dt units.Seconds, p units.Watts) {
 	}
 	d.now += dt
 	d.energy += units.Energy(p, dt)
-	if d.cfg.SustainedOnly && d.site == nil {
-		// Nothing can observe the window: no transient queries by
-		// declaration, no violation telemetry without a site. Pending
-		// cap writes stay queued — every cap consumer applies them
-		// against the advanced clock before reading, so deferring the
-		// apply to the next read is indistinguishable.
+	if d.site == nil {
+		// Nothing observes the window without violation telemetry.
+		// Pending cap writes stay queued — every cap consumer applies
+		// them against the advanced clock before reading, so deferring
+		// the apply to the next read is indistinguishable.
 		return
 	}
 	d.advanceWindow(dt, p)
 }
 
-// advanceWindow is Advance's slow half: the moving-average window fold
-// and the violation telemetry. Outlined so Advance itself stays within
-// the inlining budget for the sustained-only hot path.
+// advanceWindow is Advance's instrumented half: the moving-average
+// window fold and the violation telemetry, outlined so the
+// uninstrumented path stays short.
 func (d *Domain) advanceWindow(dt units.Seconds, p units.Watts) {
 	d.applyPending()
 	e := units.Energy(p, dt)
@@ -450,24 +364,18 @@ func (d *Domain) advanceWindow(dt units.Seconds, p units.Watts) {
 	// Enforcement-window violation telemetry: the window average rising
 	// above the effective cap target (beyond a small tolerance) is
 	// reported once per excursion.
-	if d.site != nil {
-		if target := d.effectiveTarget(); target > 0 {
-			const tolerance = 1.02
-			if avg := d.windowAvg(); float64(avg) > float64(target)*tolerance {
-				if !d.violating {
-					d.violating = true
-					d.site.BudgetViolation(float64(d.now), d.telName, float64(avg), float64(target))
-				}
-			} else {
-				d.violating = false
+	if target := d.effectiveTarget(); target > 0 {
+		const tolerance = 1.02
+		if avg := d.windowAvg(); float64(avg) > float64(target)*tolerance {
+			if !d.violating {
+				d.violating = true
+				d.site.BudgetViolation(float64(d.now), d.telName, float64(avg), float64(target))
 			}
+		} else {
+			d.violating = false
 		}
 	}
 }
-
-// WindowAverage exposes the long-window average power, mainly for tests
-// and monitoring.
-func (d *Domain) WindowAverage() units.Watts { return d.windowAvg() }
 
 // Reset returns the domain to its just-constructed state — virtual time
 // zero, zero energy, no caps, empty enforcement window — while keeping

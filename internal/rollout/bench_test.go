@@ -93,8 +93,7 @@ func BenchmarkRolloutsFresh(b *testing.B) {
 //
 // Honest multi-core numbers need the worker concurrency and the
 // scheduler's parallelism to agree, so run this benchmark with
-// -cpu 1,4,8 (the Makefile's bench-rollouts target does): each jobs=N
-// row then appears once per GOMAXPROCS value. A jobs>1 row under
+// -cpu 1,4,8: each jobs=N row then appears once per GOMAXPROCS value. A jobs>1 row under
 // GOMAXPROCS=1 is skipped with a note — its workers would time-slice
 // one core and the row would measure scheduler interleaving, not batch
 // scaling.

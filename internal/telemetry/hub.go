@@ -200,8 +200,11 @@ func (h *Hub) CapSiteFor(node string, eventful bool) *CapSite {
 	}
 }
 
-// CapWritten reports a RAPL cap write through the site's cached
-// children; see Hub.CapWritten.
+// CapWritten reports a RAPL cap write. The counter and, for long-term
+// writes, the cap gauge are always updated; the structured event is
+// emitted only by an eventful site, so drivers can restrict the event
+// stream to one representative node per partition while counters
+// still cover every node.
 func (s *CapSite) CapWritten(t float64, node string, capW float64, short bool) {
 	if s == nil {
 		return
@@ -215,8 +218,8 @@ func (s *CapSite) CapWritten(t float64, node string, capW float64, short bool) {
 	}
 }
 
-// ThrottleEngaged reports a throttle engagement through the site's
-// cached children; see Hub.ThrottleEngaged.
+// ThrottleEngaged reports a RAPL domain starting to clip demand (the
+// caller gates on the engage transition).
 func (s *CapSite) ThrottleEngaged(t float64, node string, demandW, allowedW float64) {
 	if s == nil {
 		return
@@ -227,8 +230,8 @@ func (s *CapSite) ThrottleEngaged(t float64, node string, demandW, allowedW floa
 	}
 }
 
-// BudgetViolation reports an over-limit observation through the site's
-// cached children; see Hub.BudgetViolation.
+// BudgetViolation reports a node's enforcement window rising above its
+// cap through the site's cached children; see Hub.BudgetViolation.
 func (s *CapSite) BudgetViolation(t float64, node string, observedW, limitW float64) {
 	if s == nil {
 		return
@@ -367,39 +370,10 @@ func (h *Hub) WriteJSON(w io.Writer) error {
 
 // ---- hook methods (all nil-safe and allocation-free when h == nil) ----
 
-// CapWritten reports a RAPL cap write. Metrics are always updated; the
-// structured event is emitted only when eventful is true, so drivers can
-// restrict the event stream to one representative node per partition
-// while counters still cover every node.
-func (h *Hub) CapWritten(t float64, node string, capW float64, short, eventful bool) {
-	if h == nil {
-		return
-	}
-	h.capWrites.With(node).Inc()
-	if !short {
-		h.capGauge.With(node).Set(capW)
-	}
-	if eventful {
-		h.Emit(CapWritten{T: t, Node: node, CapW: capW, Short: short})
-	}
-}
-
-// ThrottleEngaged reports a RAPL domain starting to clip demand (the
-// caller gates on the engage transition).
-func (h *Hub) ThrottleEngaged(t float64, node string, demandW, allowedW float64, eventful bool) {
-	if h == nil {
-		return
-	}
-	h.throttles.With(node).Inc()
-	if eventful {
-		h.Emit(ThrottleEngaged{T: t, Node: node, DemandW: demandW, AllowedW: allowedW})
-	}
-}
-
-// BudgetViolation reports observed power above its limit (a node's RAPL
-// window or a whole job's budget, node == "job"). The counter covers
-// every caller; the structured event is emitted only when eventful is
-// true so per-node excursions don't flood the stream at scale.
+// BudgetViolation reports observed power above its limit: a whole
+// job's measured power above its budget (node == "job"). A node's RAPL
+// window reports through its CapSite instead. The counter covers every
+// call; the structured event is emitted only when eventful is true.
 func (h *Hub) BudgetViolation(t float64, node string, observedW, limitW float64, eventful bool) {
 	if h == nil {
 		return
@@ -408,16 +382,6 @@ func (h *Hub) BudgetViolation(t float64, node string, observedW, limitW float64,
 	if eventful {
 		h.Emit(BudgetViolation{T: t, Node: node, ObservedW: observedW, LimitW: limitW})
 	}
-}
-
-// RendezvousWait records the virtual time one rank waited in a
-// collective (metrics only: per-rank per-collective events would swamp
-// the stream).
-func (h *Hub) RendezvousWait(op string, seconds float64) {
-	if h == nil {
-		return
-	}
-	h.rendWait.With(op).Observe(seconds)
 }
 
 // MessageSent counts one point-to-point message (metrics only).
@@ -438,15 +402,6 @@ func (h *Hub) SyncBarrier(t float64, step int, wallS, simS, anaS, slack, overhea
 	h.wallHistM.Observe(wallS)
 	h.slackGaugeM.Set(slack)
 	h.Emit(SyncBarrier{T: t, Step: step, WallS: wallS, SimS: simS, AnaS: anaS, Slack: slack, Overhead: overheadS})
-}
-
-// IdleWait records one node's idle trough at a synchronization barrier
-// (metrics only).
-func (h *Hub) IdleWait(partition string, seconds float64) {
-	if h == nil {
-		return
-	}
-	h.idleHist.With(partition).Observe(seconds)
 }
 
 // NodePower records one node's measured average power over an interval

@@ -12,16 +12,25 @@ import (
 
 // TestNilHubIsSafe calls every hook and accessor on a nil hub; any
 // panic fails the test. This is the contract that lets rapl, mpi, cosim
-// and friends carry their hooks unconditionally.
+// and friends carry their hooks unconditionally: a nil hub resolves a
+// nil CapSite, whose methods no-op, and nil metric handles, which the
+// callers check once.
 func TestNilHubIsSafe(t *testing.T) {
 	var h *Hub
-	h.CapWritten(1, "sim", 110, false, true)
-	h.ThrottleEngaged(1, "sim", 180, 150, true)
-	h.BudgetViolation(1, "sim", 120, 110, true)
-	h.RendezvousWait("allgather", 0.01)
+	site := h.CapSiteFor("sim", true)
+	if site != nil {
+		t.Error("nil hub CapSiteFor should be nil")
+	}
+	site.CapWritten(1, "sim", 110, false)
+	site.ThrottleEngaged(1, "sim", 180, 150)
+	site.BudgetViolation(1, "sim", 120, 110)
+	if h.RendezvousWaitMetric("allgather") != nil || h.IdleWaitMetric("ana") != nil ||
+		h.NodePowerMetric("sim") != nil {
+		t.Error("nil hub metric handles should be nil")
+	}
+	h.BudgetViolation(1, "job", 120, 110, true)
 	h.MessageSent(64)
 	h.SyncBarrier(1, 1, 1, 1, 1, 0, 0)
-	h.IdleWait("ana", 0.5)
 	h.NodePower("sim", 110)
 	h.PolicyDecision(1, "seesaw", 1, 110, 110, 115, 105)
 	h.JobBudget(1, 0, "job", 7040, 0.5)
@@ -50,14 +59,14 @@ func TestNilHubIsSafe(t *testing.T) {
 func TestDisabledHooksDoNotAllocate(t *testing.T) {
 	var h *Hub
 	hooks := map[string]func(){
-		"CapWritten":     func() { h.CapWritten(1, "sim", 110, false, true) },
-		"RendezvousWait": func() { h.RendezvousWait("allgather", 0.01) },
-		"MessageSent":    func() { h.MessageSent(64) },
-		"SyncBarrier":    func() { h.SyncBarrier(1, 1, 1, 1, 1, 0, 0) },
-		"IdleWait":       func() { h.IdleWait("ana", 0.5) },
-		"NodePower":      func() { h.NodePower("sim", 110) },
-		"PolicyDecision": func() { h.PolicyDecision(1, "seesaw", 1, 110, 110, 115, 105) },
-		"JobBudget":      func() { h.JobBudget(1, 0, "job", 7040, 0.5) },
+		"CapSite.CapWritten":   func() { h.CapSiteFor("sim", true).CapWritten(1, "sim", 110, false) },
+		"RendezvousWaitMetric": func() { h.RendezvousWaitMetric("allgather") },
+		"MessageSent":          func() { h.MessageSent(64) },
+		"SyncBarrier":          func() { h.SyncBarrier(1, 1, 1, 1, 1, 0, 0) },
+		"IdleWaitMetric":       func() { h.IdleWaitMetric("ana") },
+		"NodePower":            func() { h.NodePower("sim", 110) },
+		"PolicyDecision":       func() { h.PolicyDecision(1, "seesaw", 1, 110, 110, 115, 105) },
+		"JobBudget":            func() { h.JobBudget(1, 0, "job", 7040, 0.5) },
 	}
 	for name, fn := range hooks {
 		if allocs := testing.AllocsPerRun(100, fn); allocs != 0 {
@@ -91,7 +100,7 @@ func TestSinkJSONL(t *testing.T) {
 	var buf bytes.Buffer
 	bw := bufio.NewWriter(&buf)
 	h := New(Options{Sink: bw})
-	h.CapWritten(1, "sim", 110, false, true)
+	h.CapSiteFor("sim", true).CapWritten(1, "sim", 110, false)
 	h.SyncBarrier(2, 1, 1.5, 1.5, 1.2, 0.2, 0.001)
 	h.PolicyDecision(3, "seesaw", 1, 110, 110, 115, 105)
 	if err := h.Close(); err != nil {
@@ -133,18 +142,22 @@ func TestSinkErrorCountsDropped(t *testing.T) {
 	}
 }
 
-// TestHooksUpdateMetrics spot-checks that each hook feeds its family.
+// TestHooksUpdateMetrics spot-checks that each hook feeds its family,
+// through the handles production code reports on: a node's CapSite, the
+// cached rendezvous and idle-wait histograms, and the hub's own hooks.
 func TestHooksUpdateMetrics(t *testing.T) {
 	h := New(Options{})
-	h.CapWritten(1, "sim", 115, false, false)
-	h.CapWritten(1, "sim", 117, true, false) // short write: counter only
-	h.ThrottleEngaged(1, "sim", 180, 150, false)
-	h.BudgetViolation(1, "sim", 120, 110, false)
-	h.RendezvousWait("allgather", 0.01)
+	site := h.CapSiteFor("sim", false)
+	site.CapWritten(1, "sim", 115, false)
+	site.CapWritten(1, "sim", 117, true) // short write: counter only
+	site.ThrottleEngaged(1, "sim", 180, 150)
+	site.BudgetViolation(1, "sim", 120, 110)
+	h.BudgetViolation(1, "job", 9000, 8800, false)
+	h.RendezvousWaitMetric("allgather").Observe(0.01)
 	h.MessageSent(64)
 	h.MessageSent(100)
 	h.SyncBarrier(1, 1, 1.5, 1.5, 1.2, 0.2, 0)
-	h.IdleWait("ana", 0.3)
+	h.IdleWaitMetric("ana").Observe(0.3)
 	h.NodePower("sim", 112)
 	h.PolicyDecision(1, "seesaw", 1, 110, 110, 115, 105)
 	h.PolicyDecision(2, "seesaw", 2, 115, 105, 115, 105)
@@ -160,6 +173,7 @@ func TestHooksUpdateMetrics(t *testing.T) {
 		`seesaw_power_cap_watts{node="sim"} 115`, // short write must not move the gauge
 		`seesaw_throttle_engaged_total{node="sim"} 1`,
 		`seesaw_budget_violations_total{node="sim"} 1`,
+		`seesaw_budget_violations_total{node="job"} 1`,
 		`seesaw_barrier_wait_seconds_count{op="allgather"} 1`,
 		`seesaw_messages_total 2`,
 		`seesaw_message_bytes_total 164`,
@@ -189,10 +203,11 @@ func TestHubConcurrentEmit(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
+			site := h.CapSiteFor("sim", g == 0)
 			for i := 0; i < 200; i++ {
 				h.SyncBarrier(float64(i), i, 1, 1, 1, 0, 0)
 				h.NodePower("sim", 110)
-				h.CapWritten(float64(i), "sim", 110, false, g == 0)
+				site.CapWritten(float64(i), "sim", 110, false)
 			}
 		}(g)
 	}

@@ -1,4 +1,4 @@
-// Package trace records time-series and per-synchronization data from
+// Package trace records per-synchronization data and power samples from
 // simulated in-situ jobs, and renders them as CSV or aligned text tables.
 // Every figure in the paper is regenerated from these records.
 package trace
@@ -7,10 +7,10 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 
+	"seesaw/internal/core"
 	"seesaw/internal/units"
 )
 
@@ -21,59 +21,6 @@ type Sample struct {
 	// Value is the sampled quantity (power in Watts for power traces).
 	Value float64
 }
-
-// Series is a named, time-ordered sequence of samples.
-type Series struct {
-	Name    string
-	Samples []Sample
-}
-
-// Add appends a sample.
-func (s *Series) Add(t units.Seconds, v float64) {
-	s.Samples = append(s.Samples, Sample{Time: t, Value: v})
-}
-
-// Len returns the number of samples.
-func (s *Series) Len() int { return len(s.Samples) }
-
-// Values returns the sample values in order.
-func (s *Series) Values() []float64 {
-	vs := make([]float64, len(s.Samples))
-	for i, smp := range s.Samples {
-		vs[i] = smp.Value
-	}
-	return vs
-}
-
-// Recorder aggregates named series, e.g. one power trace per node or per
-// partition.
-type Recorder struct {
-	series map[string]*Series
-	order  []string
-}
-
-// NewRecorder returns an empty recorder.
-func NewRecorder() *Recorder {
-	return &Recorder{series: make(map[string]*Series)}
-}
-
-// Series returns the named series, creating it on first use. The zero
-// Recorder is usable; the map is initialized lazily.
-func (r *Recorder) Series(name string) *Series {
-	if s, ok := r.series[name]; ok {
-		return s
-	}
-	if r.series == nil {
-		r.series = make(map[string]*Series)
-	}
-	s := &Series{Name: name}
-	r.series[name] = s
-	r.order = append(r.order, name)
-	return s
-}
-
-// Names returns the series names in creation order.
-func (r *Recorder) Names() []string { return append([]string(nil), r.order...) }
 
 // csvFloat formats v for a CSV cell with the given precision.
 // Non-finite values render as the canonical tokens NaN, +Inf and -Inf
@@ -89,25 +36,6 @@ func csvFloat(v float64, prec int) string {
 		return "-Inf"
 	}
 	return strconv.FormatFloat(v, 'f', prec, 64)
-}
-
-// WriteCSV emits all series as long-format CSV: series,time,value.
-// The header is always written; series without samples contribute no
-// rows (long format has no way to represent them), so an empty recorder
-// yields a header-only document.
-func (r *Recorder) WriteCSV(w io.Writer) error {
-	if _, err := fmt.Fprintln(w, "series,time_s,value"); err != nil {
-		return err
-	}
-	for _, name := range r.order {
-		for _, smp := range r.series[name].Samples {
-			if _, err := fmt.Fprintf(w, "%s,%s,%s\n",
-				name, csvFloat(float64(smp.Time), 6), csvFloat(smp.Value, 6)); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
 }
 
 // SyncRecord captures the observables of one simulation/analysis
@@ -129,6 +57,44 @@ type SyncRecord struct {
 	// Overhead is the time spent inside the power-allocation call at
 	// the end of the interval.
 	Overhead units.Seconds
+}
+
+// NewSyncRecord aggregates one synchronization's per-node measures
+// into its record: per partition, the slowest node's busy time, the
+// per-node average power (the paper's per-node power plots) and the cap
+// in force. Dead nodes carry no time or power and are skipped.
+func NewSyncRecord(step int, nodes []core.NodeMeasure, overhead units.Seconds) SyncRecord {
+	rec := SyncRecord{Step: step, Overhead: overhead}
+	var nSim, nAna int
+	for i := range nodes {
+		n := &nodes[i]
+		if n.Health == core.Dead {
+			continue
+		}
+		switch n.Role {
+		case core.RoleSimulation:
+			nSim++
+			rec.SimPower += n.Power
+			rec.SimCap = n.Cap
+			if n.BusyTime > rec.SimTime {
+				rec.SimTime = n.BusyTime
+			}
+		case core.RoleAnalysis:
+			nAna++
+			rec.AnaPower += n.Power
+			rec.AnaCap = n.Cap
+			if n.BusyTime > rec.AnaTime {
+				rec.AnaTime = n.BusyTime
+			}
+		}
+	}
+	if nSim > 0 {
+		rec.SimPower /= units.Watts(nSim)
+	}
+	if nAna > 0 {
+		rec.AnaPower /= units.Watts(nAna)
+	}
+	return rec
 }
 
 // IntervalTime returns the wall time of the interval: the slower of the
@@ -291,15 +257,6 @@ func pad(s string, w int) string {
 		return s
 	}
 	return s + strings.Repeat(" ", w-len(s))
-}
-
-// SortSeriesNames returns series names sorted lexicographically; handy
-// for deterministic test output when iterating a recorder built from
-// concurrent writers.
-func SortSeriesNames(r *Recorder) []string {
-	names := r.Names()
-	sort.Strings(names)
-	return names
 }
 
 // RenderMarkdown writes the table as a GitHub-flavored markdown table.

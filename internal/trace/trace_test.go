@@ -9,53 +9,6 @@ import (
 	"seesaw/internal/units"
 )
 
-func TestSeries(t *testing.T) {
-	var s Series
-	s.Add(0, 100)
-	s.Add(1, 110)
-	if s.Len() != 2 {
-		t.Errorf("Len = %d", s.Len())
-	}
-	vs := s.Values()
-	if vs[0] != 100 || vs[1] != 110 {
-		t.Errorf("Values = %v", vs)
-	}
-}
-
-func TestRecorder(t *testing.T) {
-	r := NewRecorder()
-	r.Series("b").Add(0, 1)
-	r.Series("a").Add(0, 2)
-	r.Series("b").Add(1, 3)
-	names := r.Names()
-	if len(names) != 2 || names[0] != "b" || names[1] != "a" {
-		t.Errorf("Names = %v (creation order expected)", names)
-	}
-	sorted := SortSeriesNames(r)
-	if sorted[0] != "a" || sorted[1] != "b" {
-		t.Errorf("sorted = %v", sorted)
-	}
-	if r.Series("b").Len() != 2 {
-		t.Error("series b should accumulate")
-	}
-}
-
-func TestRecorderCSV(t *testing.T) {
-	r := NewRecorder()
-	r.Series("sim").Add(0.5, 110.25)
-	var sb strings.Builder
-	if err := r.WriteCSV(&sb); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	if !strings.HasPrefix(out, "series,time_s,value\n") {
-		t.Errorf("missing CSV header: %q", out)
-	}
-	if !strings.Contains(out, "sim,0.500000,110.250000") {
-		t.Errorf("missing data row: %q", out)
-	}
-}
-
 func TestSyncRecordSlack(t *testing.T) {
 	r := SyncRecord{SimTime: 4, AnaTime: 5}
 	if r.IntervalTime() != 5 {
@@ -171,83 +124,9 @@ func TestRenderMarkdown(t *testing.T) {
 	}
 }
 
-// TestRecorderCSVEdgeCases covers empty recorders, sample-less series
-// and non-finite sample values: every emitted row must stay parseable.
-func TestRecorderCSVEdgeCases(t *testing.T) {
-	nan := math.NaN()
-	cases := []struct {
-		name  string
-		build func() *Recorder
-		want  []string // exact lines, header included
-	}{
-		{
-			name:  "empty recorder",
-			build: NewRecorder,
-			want:  []string{"series,time_s,value"},
-		},
-		{
-			name: "zero-value recorder is usable",
-			build: func() *Recorder {
-				var r Recorder
-				r.Series("a").Add(1, 2)
-				return &r
-			},
-			want: []string{"series,time_s,value", "a,1.000000,2.000000"},
-		},
-		{
-			name: "series with no samples emits no rows",
-			build: func() *Recorder {
-				r := NewRecorder()
-				r.Series("empty")
-				r.Series("full").Add(0, 1)
-				return r
-			},
-			want: []string{"series,time_s,value", "full,0.000000,1.000000"},
-		},
-		{
-			name: "non-finite values render as canonical tokens",
-			build: func() *Recorder {
-				r := NewRecorder()
-				s := r.Series("x")
-				s.Add(0, nan)
-				s.Add(1, math.Inf(1))
-				s.Add(units.Seconds(nan), math.Inf(-1))
-				return r
-			},
-			want: []string{"series,time_s,value",
-				"x,0.000000,NaN", "x,1.000000,+Inf", "x,NaN,-Inf"},
-		},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			var sb strings.Builder
-			if err := tc.build().WriteCSV(&sb); err != nil {
-				t.Fatal(err)
-			}
-			got := strings.Split(strings.TrimRight(sb.String(), "\n"), "\n")
-			if len(got) != len(tc.want) {
-				t.Fatalf("got %d lines %q, want %d", len(got), got, len(tc.want))
-			}
-			for i := range got {
-				if got[i] != tc.want[i] {
-					t.Errorf("line %d = %q, want %q", i, got[i], tc.want[i])
-				}
-			}
-			// Every numeric cell of every data row must parse.
-			for _, line := range got[1:] {
-				cells := strings.Split(line, ",")
-				for _, c := range cells[1:] {
-					if _, err := strconv.ParseFloat(c, 64); err != nil {
-						t.Errorf("cell %q not parseable: %v", c, err)
-					}
-				}
-			}
-		})
-	}
-}
-
-// TestSyncLogCSVEdgeCases mirrors the recorder edge cases for the
-// per-synchronization log.
+// TestSyncLogCSVEdgeCases covers an empty log and non-finite
+// measurements: every emitted row must stay parseable, with NaN, +Inf
+// and -Inf rendered as their canonical tokens.
 func TestSyncLogCSVEdgeCases(t *testing.T) {
 	nan := units.Seconds(math.NaN())
 	cases := []struct {
@@ -259,8 +138,11 @@ func TestSyncLogCSVEdgeCases(t *testing.T) {
 		{name: "empty log is header-only", log: SyncLog{}, rows: 0},
 		{
 			name: "NaN interval propagates as tokens",
-			log:  SyncLog{Records: []SyncRecord{{Step: 1, SimTime: nan, AnaTime: 2, SimPower: units.Watts(math.Inf(1))}}},
-			rows: 1, contain: []string{"NaN", "+Inf"},
+			log: SyncLog{Records: []SyncRecord{{
+				Step: 1, SimTime: nan, AnaTime: 2,
+				SimPower: units.Watts(math.Inf(1)), AnaPower: units.Watts(math.Inf(-1)),
+			}}},
+			rows: 1, contain: []string{"NaN", "+Inf", "-Inf"},
 		},
 	}
 	for _, tc := range cases {

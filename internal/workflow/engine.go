@@ -76,9 +76,6 @@ type Config struct {
 	ClassRegistry map[string]machine.Class
 	// Cost is the communication cost model (DefaultCost if zero).
 	Cost mpi.CostModel
-	// PowerSample, when positive, records per-node power traces sampled
-	// at this period via the PoLiMER monitoring API.
-	PowerSample units.Seconds
 	// Telemetry, when non-nil, receives metrics and structured events
 	// from every rank, including the workflow-level StageStart/StageEnd
 	// and TransferVolume events. Nil disables instrumentation at no
@@ -131,9 +128,6 @@ type Result struct {
 	TotalEnergy units.Joules
 	// OverheadTotal is the root's cumulative allocator overhead.
 	OverheadTotal units.Seconds
-	// PowerTrace holds per-node sampled power when Config.PowerSample
-	// was set.
-	PowerTrace *trace.Recorder
 	// StageBusy is each stage's maximum per-rank busy time (generic
 	// program stages only; custom bodies do their own accounting).
 	StageBusy map[string]units.Seconds
@@ -284,9 +278,6 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		SyncLog:   &trace.SyncLog{},
 		StageBusy: make(map[string]units.Seconds, len(plan.stages)),
 	}
-	if cfg.PowerSample > 0 {
-		res.PowerTrace = trace.NewRecorder()
-	}
 	var mu sync.Mutex // guards res across rank goroutines
 	// Per-rank aggregates are reduced in world-rank order after the job
 	// so float addition order does not depend on goroutine scheduling
@@ -312,14 +303,6 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		})
 		if err != nil {
 			panic(err)
-		}
-		var mon *polimer.Monitor
-		if cfg.PowerSample > 0 {
-			mon, err = polimer.NewMonitor(node, cfg.PowerSample)
-			if err != nil {
-				panic(err)
-			}
-			mgr.AttachMonitor(mon)
 		}
 
 		// Split into per-stage communicators, as Splitanalysis does.
@@ -350,11 +333,6 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 			res.SyncLog = mgr.SyncLog()
 			res.OverheadTotal = mgr.OverheadTotal()
 			res.Syncs = len(schedule)
-		}
-		if mon != nil {
-			mon.Poll()
-			dst := res.PowerTrace.Series(fmt.Sprintf("node-%03d", r.WorldRank()))
-			dst.Samples = append(dst.Samples, mon.Series().Samples...)
 		}
 		mu.Unlock()
 	})

@@ -293,9 +293,8 @@ func TestDAGFanInRaceSmoke(t *testing.T) {
 }
 
 // BenchmarkTopologies measures workflow-engine wall time per job across
-// machine sizes and placements; bench-scale tracks it in BENCH_*.json
-// to catch scheduling-overhead regressions against the hardwired
-// driver.
+// machine sizes and placements, to compare the engine's scheduling
+// overhead with the in-situ driver's (BenchmarkInsituScale).
 func BenchmarkTopologies(b *testing.B) {
 	for _, nodes := range []int{256, 1024} {
 		for _, name := range []string{"space-shared", "time-shared", "in-transit"} {
