@@ -526,14 +526,15 @@ type shardCounter struct {
 // Arrival is lock-free: member i writes only slot i of the scratch
 // arrays and then decrements an atomic counter; the member that observes
 // zero proceeds up the tree, and the atomic counters order every slot
-// write before its reads (the sync.WaitGroup pattern). In groups of 64+
-// the counters form a two-level tree of ~sqrt(k) shards: the last
-// arriver of a shard is its leader and decrements the group counter; the
-// last leader is the completer. The completer reduces, publishes into
-// the current rendezvousState, re-arms the group for the next generation
-// and releases the root gate; woken leaders re-arm and release their
-// shard gates in parallel, so neither the arrival CASes nor the wakeup
-// channel locks serialize 4096 ranks through one word.
+// write before its reads (the sync.WaitGroup pattern). In groups of
+// 2048+ (shardSizeFor) the counters form a two-level tree of ~sqrt(k)
+// shards: the last arriver of a shard is its leader and decrements the
+// group counter; the last leader is the completer. The completer
+// reduces, publishes into the current rendezvousState, re-arms the group
+// for the next generation and releases the root gate; woken leaders
+// re-arm and release their shard gates in parallel, so neither the
+// arrival CASes nor the wakeup channel locks serialize 4096 ranks
+// through one word.
 type group struct {
 	// Unsharded groups (shardPending == nil) rendezvous under a plain
 	// mutex + condition variable with a generation counter: below the
