@@ -84,13 +84,15 @@ batch-race-smoke:
 	$(GO) test -race -run xxx -bench 'BenchmarkRolloutsBatch/nodes=256/jobs=4' -benchtime 1x ./internal/rollout/
 
 # fuzz-smoke runs each native fuzz target for a few seconds: the fault
-# plan grammar (-faults, jobfile "faults") and the device class-map
-# grammar (-classes, jobfile "classes"). `go test` already replays
-# their seed corpora; this explores beyond them. -fuzz takes one
-# target per run, hence one line per target.
+# plan grammar (-faults, jobfile "faults"), the device class-map
+# grammar (-classes, jobfile "classes") and the Box–Muller kernel
+# against the math package on raw generator outputs. `go test` already
+# replays their seed corpora; this explores beyond them. -fuzz takes
+# one target per run, hence one line per target.
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz '^FuzzParse$$' -fuzztime 3s ./internal/fault/
 	$(GO) test -run xxx -fuzz '^FuzzParseClassMap$$' -fuzztime 3s ./internal/machine/
+	$(GO) test -run xxx -fuzz '^FuzzNormKernel$$' -fuzztime 3s ./internal/rng/
 
 # bench-smoke vets the benchmark module (benchmark/, a module of its
 # own that builds against this one through a replace directive). Vet

@@ -68,7 +68,9 @@ func (e Event) String() string {
 	case Kill:
 		return fmt.Sprintf("kill:%d@%d", e.Node, e.Sync)
 	case Slow:
-		return fmt.Sprintf("slow:%d@%dx%g+%d", e.Node, e.Sync, e.Factor, e.Window)
+		// The factor prints without an exponent: %g would write 1e+06,
+		// whose '+' Parse reads as the window separator.
+		return fmt.Sprintf("slow:%d@%dx%s+%d", e.Node, e.Sync, strconv.FormatFloat(e.Factor, 'f', -1, 64), e.Window)
 	default:
 		return fmt.Sprintf("invalid:%d@%d", e.Node, e.Sync)
 	}

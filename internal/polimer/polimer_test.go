@@ -143,8 +143,12 @@ func TestOverheadAccounted(t *testing.T) {
 	}
 }
 
+// TestShortTermCapMode checks that ShortTermCap installs the short cap
+// next to the long one: with both in force, RAPL regulates a full
+// demand to the long cap lowered by the dual-cap margin.
 func TestShortTermCapMode(t *testing.T) {
-	var gotShort units.Watts
+	var allowed units.Watts
+	var dual bool
 	err := mpi.Run(2, mpi.DefaultCost(), func(r *mpi.Rank) {
 		node := machine.DefaultNode(r.WorldRank(), machine.NoiseModel{}, 1)
 		_, err := Init(r, core.RoleSimulation, node, Options{
@@ -155,15 +159,15 @@ func TestShortTermCapMode(t *testing.T) {
 		}
 		node.Idle(0.02)
 		if r.WorldRank() == 0 {
-			gotShort = node.RAPL().ShortCap()
+			allowed, dual = node.RAPL().Grant(215)
 		}
 		r.World().Barrier()
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gotShort != 110 {
-		t.Errorf("short cap = %v, want 110", gotShort)
+	if allowed != 107.8 || !dual {
+		t.Errorf("Grant(215) = (%v, %v), want (107.8, true)", allowed, dual)
 	}
 }
 

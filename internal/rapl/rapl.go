@@ -111,8 +111,6 @@ type Domain struct {
 	windowJ   units.Joules
 	windowLen units.Seconds
 
-	capWrites int
-
 	// Telemetry hooks (nil-safe, attached via SetTelemetry). site holds
 	// the node's pre-resolved metric children so the per-write hot path
 	// never pays a family label lookup.
@@ -148,11 +146,8 @@ func MustNewDomain(cfg Config) *Domain {
 	return d
 }
 
-// Config returns the domain's hardware configuration.
-func (d *Domain) Config() Config { return d.cfg }
-
-// TDP returns the domain's thermal design power without copying the
-// whole configuration — the execution model reads it per phase.
+// TDP returns the domain's thermal design power; the execution model
+// reads it per phase.
 func (d *Domain) TDP() units.Watts { return d.cfg.TDP }
 
 // SetTelemetry attaches a telemetry hub: cap writes, throttle
@@ -166,22 +161,14 @@ func (d *Domain) SetTelemetry(h *telemetry.Hub, name string, eventful bool) {
 	d.telName = name
 }
 
-// Now returns the domain's current virtual time.
-func (d *Domain) Now() units.Seconds { return d.now }
-
 // Energy returns the cumulative energy counter, analogous to the
 // MSR_PKG_ENERGY_STATUS register.
 func (d *Domain) Energy() units.Joules { return d.energy }
-
-// CapWrites returns how many cap write operations were issued; the
-// experiment harness uses it to account for actuation overhead.
-func (d *Domain) CapWrites() int { return d.capWrites }
 
 // SetLongCap requests a new long-term power cap. The request is clamped
 // to the supported range and takes effect after the actuation latency.
 // A zero cap removes the limit.
 func (d *Domain) SetLongCap(w units.Watts) {
-	d.capWrites++
 	if w != 0 {
 		w = units.ClampWatts(w, d.cfg.MinCap, d.cfg.TDP)
 	}
@@ -194,7 +181,6 @@ func (d *Domain) SetLongCap(w units.Watts) {
 // SetShortCap requests a new short-term power cap with the same clamping
 // and latency semantics as SetLongCap. A zero cap removes the limit.
 func (d *Domain) SetShortCap(w units.Watts) {
-	d.capWrites++
 	if w != 0 {
 		w = units.ClampWatts(w, d.cfg.MinCap, d.cfg.TDP)
 	}
@@ -208,12 +194,6 @@ func (d *Domain) SetShortCap(w units.Watts) {
 func (d *Domain) LongCap() units.Watts {
 	d.applyPending()
 	return d.longCap
-}
-
-// ShortCap returns the currently effective short-term cap (0 if unset).
-func (d *Domain) ShortCap() units.Watts {
-	d.applyPending()
-	return d.shortCap
 }
 
 // applyPending activates cap writes whose latency has elapsed.
@@ -389,6 +369,5 @@ func (d *Domain) Reset() {
 	d.pending = d.pending[:0]
 	d.window = d.window[:0]
 	d.windowJ, d.windowLen = 0, 0
-	d.capWrites = 0
 	d.throttled, d.violating = false, false
 }

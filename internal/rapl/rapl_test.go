@@ -163,16 +163,6 @@ func TestShortCapOnly(t *testing.T) {
 	}
 }
 
-func TestCapWritesCounter(t *testing.T) {
-	d := theta(t)
-	d.SetLongCap(110)
-	d.SetShortCap(110)
-	d.SetLongCap(120)
-	if got := d.CapWrites(); got != 3 {
-		t.Errorf("CapWrites = %d, want 3", got)
-	}
-}
-
 func TestGrantNeverExceedsCap(t *testing.T) {
 	f := func(demand float64, capW float64) bool {
 		d := MustNewDomain(Theta())
