@@ -21,6 +21,7 @@ package rollout
 import (
 	"context"
 	"fmt"
+	"strconv"
 
 	"seesaw/internal/core"
 	"seesaw/internal/cosim"
@@ -98,16 +99,49 @@ func (s Spec) constraints(physicalNodes int) core.Constraints {
 // everything cosim.NewJobState reads plus the cluster seeds and noise.
 // Budget, window, policy and telemetry hub are episode parameters and
 // stay out of the key, so a grid sweep over them shares one
-// cosim.JobState (TestJobKeyCoversSpec pins the split).
+// cosim.JobState (TestJobKeyCoversSpec pins the split). Every rollout
+// builds the key, so it is appended field by field: fmt's reflective
+// %v allocates a varying number of objects per call, which
+// TestRolloutZeroAllocs would read as the episode allocating.
 func (s Spec) jobKey() string {
-	w := s.Workload
-	key := fmt.Sprintf("n%d+%d/dim%d/j%d/steps%d/an=%v/nst=%t/seed=%d.%d/noise=%+v/faults=%s/classes=%s",
-		w.SimNodes, w.AnaNodes, w.Dim, w.J, w.Steps, w.Analyses, w.NoSetupTransient,
-		s.Seed, s.RunSeed, s.Noise, s.Faults, s.Classes)
-	if s.NoNoiseMemo {
-		key += "/nomemo"
+	w, nm := s.Workload, s.Noise
+	b := make([]byte, 0, 192)
+	b = append(b, 'n')
+	b = strconv.AppendInt(b, int64(w.SimNodes), 10)
+	b = append(b, '+')
+	b = strconv.AppendInt(b, int64(w.AnaNodes), 10)
+	b = append(b, "/dim"...)
+	b = strconv.AppendInt(b, int64(w.Dim), 10)
+	b = append(b, "/j"...)
+	b = strconv.AppendInt(b, int64(w.J), 10)
+	b = append(b, "/steps"...)
+	b = strconv.AppendInt(b, int64(w.Steps), 10)
+	b = append(b, "/an="...)
+	for _, a := range w.Analyses {
+		b = append(b, a.Name...)
+		b = append(b, ':')
+		b = strconv.AppendInt(b, int64(a.Interval), 10)
+		b = append(b, ',')
 	}
-	return key
+	b = append(b, "/nst="...)
+	b = strconv.AppendBool(b, w.NoSetupTransient)
+	b = append(b, "/seed="...)
+	b = strconv.AppendUint(b, s.Seed, 10)
+	b = append(b, '.')
+	b = strconv.AppendUint(b, s.RunSeed, 10)
+	b = append(b, "/noise="...)
+	for _, f := range [...]float64{nm.SkewSigma, nm.PowerEffSigma, nm.JitterSigma, nm.RunSigma, nm.DualRunSigma, nm.PowerSigma} {
+		b = strconv.AppendFloat(b, f, 'g', -1, 64)
+		b = append(b, ',')
+	}
+	b = append(b, "/faults="...)
+	b = append(b, s.Faults.String()...)
+	b = append(b, "/classes="...)
+	b = append(b, s.Classes.String()...)
+	if s.NoNoiseMemo {
+		b = append(b, "/nomemo"...)
+	}
+	return string(b)
 }
 
 // jobConfig assembles the space-shared job's cosim.Config: the fields
