@@ -52,30 +52,26 @@ bench-scale-smoke:
 	$(GO) test -run xxx -bench 'BenchmarkHetero/nodes=256' -benchtime 1x ./internal/cosim/
 	$(GO) test -run xxx -bench . -benchtime 1x ./internal/telemetry/
 
-# memo-golden-smoke pins at the CLI that neither noise-trace
-# memoization nor observing changes a result: the same small search
-# grid, fault-free and faulted, must print byte-identical reports with
-# memoization on, with -no-noise-memo (replay is byte-identical to live
-# draws by construction) and under -telemetry (instrumented rollouts
-# take the same pooled path as plain ones), and the telemetry stream
-# must not be empty.
+# memo-golden-smoke pins at the CLI that observing does not change a
+# result: the same small search grid, fault-free (memoized noise) and
+# faulted (live draws), must print byte-identical reports with and
+# without -telemetry (instrumented rollouts take the same pooled path as
+# plain ones), and the telemetry stream must not be empty. Memoized
+# against live draws is pinned by TestNoiseMemoGolden.
 memo-golden-smoke:
 	@tmp="$${TMPDIR:-/tmp}"; \
 	args="-nodes 8 -steps 20 -budgets 105,110 -policies seesaw,time-aware -faults none,slow:0@5x2+5,kill:7@10"; \
 	$(GO) run ./cmd/seesawctl search $$args > "$$tmp/seesaw-memo-on.txt" && \
-	$(GO) run ./cmd/seesawctl search $$args -no-noise-memo > "$$tmp/seesaw-memo-off.txt" && \
 	$(GO) run ./cmd/seesawctl search $$args -telemetry "$$tmp/ev.jsonl" > "$$tmp/seesaw-telemetry.txt" && \
-	for run in memo-off telemetry; do \
-		if ! cmp -s "$$tmp/seesaw-memo-on.txt" "$$tmp/seesaw-$$run.txt"; then \
-			echo "memo-on vs $$run reports diverge:"; \
-			diff "$$tmp/seesaw-memo-on.txt" "$$tmp/seesaw-$$run.txt"; exit 1; \
-		fi; \
-	done; \
+	if ! cmp -s "$$tmp/seesaw-memo-on.txt" "$$tmp/seesaw-telemetry.txt"; then \
+		echo "memo-on vs telemetry reports diverge:"; \
+		diff "$$tmp/seesaw-memo-on.txt" "$$tmp/seesaw-telemetry.txt"; exit 1; \
+	fi; \
 	if [ ! -s "$$tmp/ev.jsonl" ]; then \
 		echo "search -telemetry wrote no events"; exit 1; \
 	fi; \
-	rm -f "$$tmp/seesaw-memo-on.txt" "$$tmp/seesaw-memo-off.txt" "$$tmp/seesaw-telemetry.txt" "$$tmp/ev.jsonl"; \
-	echo "memo golden smoke ok: memoized, live and instrumented reports are byte-identical"
+	rm -f "$$tmp/seesaw-memo-on.txt" "$$tmp/seesaw-telemetry.txt" "$$tmp/ev.jsonl"; \
+	echo "memo golden smoke ok: memoized and instrumented reports are byte-identical"
 
 # batch-race-smoke runs one 256-node batched grid sweep under the race
 # detector: the per-worker pooled episodes, the shared trace cache and
@@ -85,14 +81,17 @@ batch-race-smoke:
 
 # fuzz-smoke runs each native fuzz target for a few seconds: the fault
 # plan grammar (-faults, jobfile "faults"), the device class-map
-# grammar (-classes, jobfile "classes") and the Box–Muller kernel
-# against the math package on raw generator outputs. `go test` already
-# replays their seed corpora; this explores beyond them. -fuzz takes
-# one target per run, hence one line per target.
+# grammar (-classes, jobfile "classes"), the Box–Muller kernel against
+# the math package on raw generator outputs, and the allocators'
+# capability-weighted cap division (dead nodes, per-node ranges, budget
+# conservation). `go test` already replays their seed corpora; this
+# explores beyond them. -fuzz takes one target per run, hence one line
+# per target.
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz '^FuzzParse$$' -fuzztime 3s ./internal/fault/
 	$(GO) test -run xxx -fuzz '^FuzzParseClassMap$$' -fuzztime 3s ./internal/machine/
 	$(GO) test -run xxx -fuzz '^FuzzNormKernel$$' -fuzztime 3s ./internal/rng/
+	$(GO) test -run xxx -fuzz '^FuzzPartitionCaps$$' -fuzztime 3s ./internal/core/
 
 # bench-smoke vets the benchmark module (benchmark/, a module of its
 # own that builds against this one through a replace directive). Vet

@@ -83,7 +83,6 @@ func runSearch(ctx context.Context, args []string) int {
 	analyses := fs.String("analyses", "", "comma-separated analyses (default msd)")
 	seed := fs.Uint64("seed", 1, "base job seed")
 	jobs := fs.Int("jobs", 0, "max rollouts in flight (0 = GOMAXPROCS); results are identical at any value")
-	noMemo := fs.Bool("no-noise-memo", false, "disable noise-trace memoization: draw every jitter variate live instead of replaying the recorded trace; results are identical either way")
 	cacheStats := fs.Bool("cache-stats", false, "print a trace-cache summary line (hits/misses/evictions/bytes) after the search")
 	telPath := fs.String("telemetry", "", "stream telemetry events to this file as JSON Lines")
 	if err := fs.Parse(args); err != nil {
@@ -137,7 +136,6 @@ func runSearch(ctx context.Context, args []string) int {
 	hub, closeHub := mustOpenHub(*telPath)
 	defer closeHub()
 	for i := range points {
-		points[i].Spec.NoNoiseMemo = *noMemo
 		// Every rollout reports into the hub; instrumented episodes run
 		// the same pooled path as plain ones, so the report is unchanged.
 		points[i].Spec.Telemetry = hub

@@ -376,11 +376,9 @@ func (c *Cluster) Node(i int) *machine.Node { return c.nodes[i] }
 // Role returns node i's partition role.
 func (c *Cluster) Role(i int) core.Role { return c.roles[i] }
 
-// Hetero reports whether the cluster carries device classes.
-func (c *Cluster) Hetero() bool { return c.caps != nil }
-
 // Capability returns node i's device-class capability; the zero value
-// on a homogeneous cluster.
+// on a homogeneous cluster, which the allocators read as weight 1 with
+// the global clamp range.
 func (c *Cluster) Capability(i int) core.NodeCapability {
 	if c.caps == nil {
 		return core.NodeCapability{}

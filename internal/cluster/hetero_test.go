@@ -16,8 +16,8 @@ func TestClassResolution(t *testing.T) {
 		SimNodes: 2, AnaNodes: 2, JobSeed: 1,
 		Classes: machine.MustParseClassMap("1:gpu,3:lowpower"),
 	})
-	if !c.Hetero() {
-		t.Fatal("classed cluster not hetero")
+	if c.CapabilityFn() == nil {
+		t.Fatal("classed cluster has no capability table")
 	}
 	gpu, _ := machine.PresetClass("gpu")
 	lp, _ := machine.PresetClass("lowpower")
@@ -54,16 +54,13 @@ func TestClassResolution(t *testing.T) {
 
 func TestHomogeneousClusterStaysZero(t *testing.T) {
 	c := mustNew(t, Config{SimNodes: 2, AnaNodes: 2, JobSeed: 1})
-	if c.Hetero() {
-		t.Fatal("homogeneous cluster claims hetero")
-	}
 	if cap := c.Capability(0); cap != (core.NodeCapability{}) {
 		t.Errorf("homogeneous capability %+v not zero", cap)
 	}
 	if c.CapabilityFn() != nil {
 		t.Error("homogeneous CapabilityFn not nil")
 	}
-	if m := c.Measure(0); m.NodeCapability.Hetero() {
+	if m := c.Measure(0); m.NodeCapability != (core.NodeCapability{}) {
 		t.Error("homogeneous measure carries capability")
 	}
 }

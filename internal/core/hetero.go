@@ -1,10 +1,12 @@
-// Heterogeneity-aware budget division. When measurements carry device
-// classes (NodeCapability set by the cluster layer), the uniform
-// per-node division of clampPartitionCaps/expandPartitionCaps is
-// replaced by a capability-weighted waterfill that respects each
-// node's own clamp range. Homogeneous measurements never reach this
-// code: every allocator gates on heteroNodes first, so the legacy
-// arithmetic — and the goldens pinned to it — stays untouched.
+// Capability-weighted budget division, the one division the allocators
+// that move power use. SeeSAw's last step divides each partition's power
+// over its live nodes by capability weight and clamps every node to its
+// own range (capDivider); power-aware and time-aware bound their pools
+// by the live nodes' own ceilings (addOrphans, spreadSlack). A node
+// whose NodeCapability is zero has weight 1 and the global clamp range,
+// so on a single-class cluster the division is the paper's "divide
+// evenly and clamp to [delta_min, delta_max]" (Section IV-A); with
+// device classes it is an EcoShift-style generalization of it.
 package core
 
 import (
@@ -13,19 +15,7 @@ import (
 	"seesaw/internal/units"
 )
 
-// heteroNodes reports whether any measurement carries class
-// capability; the cluster layer sets Weight on every node or none.
-func heteroNodes(nodes []NodeMeasure) bool {
-	for i := range nodes {
-		if nodes[i].NodeCapability.Hetero() {
-			return true
-		}
-	}
-	return false
-}
-
-// weightOf is a node's capability weight with the homogeneous
-// fallback of 1.
+// weightOf is a node's capability weight, 1 when it carries no class.
 func weightOf(n *NodeMeasure) float64 {
 	if n.Weight > 0 {
 		return n.Weight
@@ -33,131 +23,163 @@ func weightOf(n *NodeMeasure) float64 {
 	return 1
 }
 
-// heteroMember is one live node in a partition waterfill.
-type heteroMember struct {
+// capMember is one live node in a partition waterfill.
+type capMember struct {
 	idx    int
 	w      float64
 	lo, hi units.Watts
 }
 
-// heteroMembers splits the live measurements into per-partition
-// waterfill members carrying each node's weight and clamp range.
-func heteroMembers(nodes []NodeMeasure, c Constraints) (sim, ana []heteroMember) {
+// capDivider divides partition totals over their nodes. It keeps the
+// member lists and the returned caps across calls, so a policy that
+// divides every synchronization allocates nothing (Policy ownership
+// contract: the caps are valid until the next divide).
+type capDivider struct {
+	sim, ana []capMember
+	caps     []units.Watts
+}
+
+// divide is the tail of SeeSAw's allocation: given the desired
+// partition totals (already summing to the budget), clamp each total
+// into its partition's feasible range — moving the excess or deficit to
+// the partner partition, simulation first — then waterfill each
+// partition across its live nodes by capability weight. Dead nodes get
+// a zero cap; an invalid role panics with the offending value.
+func (d *capDivider) divide(nodes []NodeMeasure, totS, totA units.Watts, c Constraints) []units.Watts {
+	if cap(d.caps) < len(nodes) {
+		d.caps = make([]units.Watts, len(nodes))
+		d.sim = make([]capMember, 0, len(nodes))
+		d.ana = make([]capMember, 0, len(nodes))
+	}
+	caps := d.caps[:len(nodes)]
+	sim, ana := d.sim[:0], d.ana[:0]
+	var loS, hiS, loA, hiA units.Watts
 	for i := range nodes {
 		n := &nodes[i]
 		if n.Health == Dead {
+			caps[i] = 0
 			continue
 		}
 		lo, hi := n.CapRange(c)
-		m := heteroMember{idx: i, w: weightOf(n), lo: lo, hi: hi}
+		m := capMember{idx: i, w: weightOf(n), lo: lo, hi: hi}
 		switch n.Role {
 		case RoleSimulation:
 			sim = append(sim, m)
+			loS += lo
+			hiS += hi
 		case RoleAnalysis:
 			ana = append(ana, m)
+			loA += lo
+			hiA += hi
 		default:
 			panic(fmt.Sprintf("core: measurement %d (node id %d) has invalid role %d", i, n.NodeID, int(n.Role)))
 		}
 	}
-	return sim, ana
-}
 
-// memberBounds sums a partition's feasible cap range.
-func memberBounds(ms []heteroMember) (lo, hi units.Watts) {
-	for _, m := range ms {
-		lo += m.lo
-		hi += m.hi
-	}
-	return lo, hi
-}
-
-// waterfill divides total across the members proportionally to their
-// weights, pinning members whose proportional share falls outside
-// their [lo, hi] range at the violated bound and redistributing the
-// rest — the heterogeneous generalization of "divide the partition's
-// power evenly over its nodes and clamp". Deterministic: members are
-// visited in slice (node-index) order. Results land in caps[m.idx].
-//
-// When total is below the sum of floors every member pins at lo (the
-// overdraft a hardware floor forces anyway); above the sum of
-// ceilings, at hi. Callers bound total accordingly to conserve budget.
-func waterfill(ms []heteroMember, total units.Watts, caps []units.Watts) {
-	remaining := total
-	unpinned := append([]heteroMember(nil), ms...)
-	shares := make([]units.Watts, 0, len(ms))
-	for len(unpinned) > 0 {
-		var wsum float64
-		for _, m := range unpinned {
-			wsum += m.w
-		}
-		shares = shares[:0]
-		for _, m := range unpinned {
-			if wsum > 0 {
-				shares = append(shares, units.Watts(float64(remaining)*m.w/wsum))
-			} else {
-				shares = append(shares, remaining/units.Watts(len(unpinned)))
-			}
-		}
-		keep := unpinned[:0]
-		pinned := false
-		for j, m := range unpinned {
-			switch {
-			case shares[j] < m.lo:
-				caps[m.idx] = m.lo
-				remaining -= m.lo
-				pinned = true
-			case shares[j] > m.hi:
-				caps[m.idx] = m.hi
-				remaining -= m.hi
-				pinned = true
-			default:
-				caps[m.idx] = shares[j]
-				keep = append(keep, m)
-			}
-		}
-		if !pinned {
-			return
-		}
-		unpinned = keep
-	}
-}
-
-// heteroPartitionCaps is the heterogeneous tail of SeeSAw's
-// allocation: given the desired partition totals (already summing to
-// the budget), clamp each total into its partition's feasible range —
-// moving the excess or deficit to the partner partition, the
-// partition-granular analogue of clampPartitionCaps — then waterfill
-// each partition across its nodes by capability weight. Dead nodes
-// keep a zero cap, as in expandPartitionCaps.
-func heteroPartitionCaps(nodes []NodeMeasure, totS, totA units.Watts, c Constraints) []units.Watts {
-	sim, ana := heteroMembers(nodes, c)
-	caps := make([]units.Watts, len(nodes))
-	loS, hiS := memberBounds(sim)
-	loA, hiA := memberBounds(ana)
-
-	// The distributable total: the budget, bounded by what the live
-	// nodes can hold under their ceilings and forced up to the sum of
-	// their floors (hardware pins there regardless).
-	target := c.Budget
-	if m := hiS + hiA; target > m {
-		target = m
-	}
-	if m := loS + loA; target < m {
-		target = m
-	}
+	// A budget beyond the live ceilings is left partly unassigned; one
+	// below the live floors is overdrawn (hardware pins there
+	// regardless).
 	totS = units.ClampWatts(totS, loS, hiS)
 	totA = units.ClampWatts(totA, loA, hiA)
-	if d := target - (totS + totA); d != 0 {
-		// Settle the residual on the simulation partition first
-		// (deterministic, mirroring clampPartitionCaps), then the rest
-		// on the analysis side; by construction of target it fits.
-		ns := units.ClampWatts(totS+d, loS, hiS)
-		d -= ns - totS
+	if r := c.Budget - (totS + totA); r != 0 {
+		ns := units.ClampWatts(totS+r, loS, hiS)
+		r -= ns - totS
 		totS = ns
-		totA = units.ClampWatts(totA+d, loA, hiA)
+		totA = units.ClampWatts(totA+r, loA, hiA)
 	}
 
 	waterfill(sim, totS, caps)
 	waterfill(ana, totA, caps)
 	return caps
+}
+
+// waterfill divides total across the members proportionally to their
+// weights (all positive, see weightOf), pinning members whose
+// proportional share falls outside their [lo, hi] range at the violated
+// bound and redistributing the rest. Deterministic: members are visited
+// in slice (node-index) order. Results land in caps[m.idx]; ms is
+// scratch, compacted in place as members pin.
+//
+// When total is below the sum of floors every member pins at lo (the
+// overdraft a hardware floor forces anyway); above the sum of
+// ceilings, at hi. Callers bound total accordingly to conserve budget.
+func waterfill(ms []capMember, total units.Watts, caps []units.Watts) {
+	remaining := total
+	for len(ms) > 0 {
+		var wsum float64
+		for _, m := range ms {
+			wsum += m.w
+		}
+		// Every share of a pass comes from the pass's starting total.
+		pass := float64(remaining)
+		keep := ms[:0]
+		for _, m := range ms {
+			share := units.Watts(pass * m.w / wsum)
+			switch {
+			case share < m.lo:
+				caps[m.idx] = m.lo
+				remaining -= m.lo
+			case share > m.hi:
+				caps[m.idx] = m.hi
+				remaining -= m.hi
+			default:
+				caps[m.idx] = share
+				keep = append(keep, m)
+			}
+		}
+		if len(keep) == len(ms) {
+			return
+		}
+		ms = keep
+	}
+}
+
+// capConservationEps tolerates float rounding when checking that
+// divided caps account for the whole budget.
+const capConservationEps = units.Watts(1e-6)
+
+// addOrphans returns pool plus the budget the live caps leave
+// uncovered (a dead node's former share), bounded by what the live
+// nodes can still absorb under their own ceilings.
+func addOrphans(nodes []NodeMeasure, caps []units.Watts, pool units.Watts, c Constraints) units.Watts {
+	var capTotal units.Watts
+	for i := range nodes {
+		if nodes[i].Health != Dead {
+			capTotal += caps[i]
+		}
+	}
+	orphan := c.Budget - capTotal - pool
+	if orphan <= capConservationEps {
+		return pool
+	}
+	var maxTotal units.Watts
+	for i := range nodes {
+		if nodes[i].Health != Dead {
+			_, hi := nodes[i].CapRange(c)
+			maxTotal += hi
+		}
+	}
+	if room := maxTotal - capTotal; orphan > room {
+		orphan = room
+	}
+	if orphan > 0 {
+		pool += orphan
+	}
+	return pool
+}
+
+// spreadSlack returns an unplaced pool to the alive nodes in equal
+// shares, each clamped to its own range, so no budget is leaked.
+func spreadSlack(nodes []NodeMeasure, caps []units.Watts, pool units.Watts, alive int, c Constraints) {
+	if pool <= 0 {
+		return
+	}
+	share := pool / units.Watts(alive)
+	for i := range nodes {
+		if nodes[i].Health == Dead {
+			continue
+		}
+		lo, hi := nodes[i].CapRange(c)
+		caps[i] = units.ClampWatts(caps[i]+share, lo, hi)
+	}
 }

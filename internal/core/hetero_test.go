@@ -95,18 +95,18 @@ func TestWaterfillConservesAndClamps(t *testing.T) {
 	g := lcg(1)
 	for trial := 0; trial < 200; trial++ {
 		n := 2 + int(g.between(0, 14))
-		ms := make([]heteroMember, n)
+		ms := make([]capMember, n)
 		var lo, hi units.Watts
 		for i := range ms {
 			cap := randomCapability(&g)
-			ms[i] = heteroMember{idx: i, w: float64(cap.Weight), lo: cap.MinCap, hi: cap.MaxCap}
+			ms[i] = capMember{idx: i, w: float64(cap.Weight), lo: cap.MinCap, hi: cap.MaxCap}
 			lo += cap.MinCap
 			hi += cap.MaxCap
 		}
 		// A feasible total must be conserved exactly; member clamps hold.
 		total := units.Watts(g.between(float64(lo), float64(hi)))
 		caps := make([]units.Watts, n)
-		waterfill(ms, total, caps)
+		waterfill(append([]capMember(nil), ms...), total, caps)
 		var sum units.Watts
 		for i, m := range ms {
 			if caps[i] < m.lo-capConservationEps || caps[i] > m.hi+capConservationEps {
@@ -119,7 +119,7 @@ func TestWaterfillConservesAndClamps(t *testing.T) {
 		}
 		// Determinism: the same inputs give the same division.
 		again := make([]units.Watts, n)
-		waterfill(ms, total, again)
+		waterfill(append([]capMember(nil), ms...), total, again)
 		for i := range caps {
 			if caps[i] != again[i] {
 				t.Fatalf("trial %d: waterfill not deterministic at member %d", trial, i)
@@ -129,13 +129,13 @@ func TestWaterfillConservesAndClamps(t *testing.T) {
 }
 
 func TestWaterfillEdgeTotals(t *testing.T) {
-	ms := []heteroMember{
+	ms := []capMember{
 		{idx: 0, w: 1, lo: 98, hi: 215},
 		{idx: 1, w: 2.2, lo: 100, hi: 320},
 	}
 	// Below the sum of floors every member pins at lo.
 	caps := make([]units.Watts, 2)
-	waterfill(ms, 150, caps)
+	waterfill(append([]capMember(nil), ms...), 150, caps)
 	if caps[0] != 98 || caps[1] != 100 {
 		t.Errorf("under-floor waterfill = %v, want floors", caps)
 	}
@@ -145,17 +145,18 @@ func TestWaterfillEdgeTotals(t *testing.T) {
 	if caps[0] != 215 || caps[1] != 320 {
 		t.Errorf("over-ceiling waterfill = %v, want ceilings", caps)
 	}
-	// Zero weights split evenly.
-	zms := []heteroMember{{idx: 0, lo: 0, hi: 500}, {idx: 1, lo: 0, hi: 500}}
+	// Equal weights (a single-class partition) split evenly.
+	ems := []capMember{{idx: 0, w: 1, lo: 0, hi: 500}, {idx: 1, w: 1, lo: 0, hi: 500}}
 	caps = make([]units.Watts, 2)
-	waterfill(zms, 200, caps)
+	waterfill(ems, 200, caps)
 	if caps[0] != 100 || caps[1] != 100 {
-		t.Errorf("zero-weight waterfill = %v, want even split", caps)
+		t.Errorf("equal-weight waterfill = %v, want even split", caps)
 	}
 }
 
 func TestHeteroPartitionCapsProperties(t *testing.T) {
 	g := lcg(7)
+	var d capDivider
 	for trial := 0; trial < 200; trial++ {
 		n := 4 + 2*int(g.between(0, 7))
 		nodes := randomHeteroNodes(&g, n)
@@ -165,9 +166,81 @@ func TestHeteroPartitionCapsProperties(t *testing.T) {
 			MaxCap: 215,
 		}
 		totS := units.Watts(g.between(0.2, 0.8)) * c.Budget
-		caps := heteroPartitionCaps(nodes, totS, c.Budget-totS, c)
+		caps := d.divide(nodes, totS, c.Budget-totS, c)
 		checkHeteroCaps(t, nodes, caps, c)
 	}
+}
+
+// fuzzClasses are the capabilities FuzzPartitionCaps assigns on mixed
+// clusters: the zero value (weight 1 with the global range) and the
+// three synthetic classes of randomCapability.
+var fuzzClasses = [...]NodeCapability{
+	{},
+	{Class: "cpu", MinCap: 98, MaxCap: 215, Weight: 1},
+	{Class: "gpu", MinCap: 100, MaxCap: 320, Weight: 2.2},
+	{Class: "lowpower", MinCap: 40, MaxCap: 90, Weight: 0.6},
+}
+
+// FuzzPartitionCaps drives the one division over 1–16 nodes per
+// partition, any set of dead nodes, single-class and mixed clusters,
+// budgets that pass Constraints.Validate and arbitrary partition
+// totals. It divides on a divider that has already divided the same
+// nodes all alive, as a policy does when a node dies mid-run. Dead
+// nodes must get 0, every live cap must lie in its own range, and the
+// caps must sum to the budget bounded by the live floors and ceilings.
+func FuzzPartitionCaps(f *testing.F) {
+	f.Add(uint8(3), uint8(3), uint32(0), uint64(0), false, 110.0, 0.5, 0.5)
+	f.Add(uint8(2), uint8(4), uint32(0b1000_0101), uint64(0xE4E4), true, 140.0, 0.9, 0.1)
+	f.Add(uint8(15), uint8(15), ^uint32(0), uint64(0), false, 98.0, 0.3, 0.7)
+	f.Add(uint8(1), uint8(1), uint32(0), ^uint64(0), true, 400.0, 2.0, -1.0)
+	f.Add(uint8(7), uint8(0), uint32(0b10), uint64(0x5555), true, 98.5, 0.0, 1.0)
+	f.Fuzz(func(t *testing.T, rawSim, rawAna uint8, dead uint32, classes uint64, mixed bool, perNode, fracS, fracA float64) {
+		nSim, nAna := 1+int(rawSim%16), 1+int(rawAna%16)
+		n := nSim + nAna
+		c := Constraints{Budget: units.Watts(perNode) * units.Watts(n), MinCap: 98, MaxCap: 215}
+		totS, totA := units.Watts(fracS)*c.Budget, units.Watts(fracA)*c.Budget
+		if c.Validate(n) != nil || !units.IsFinite(float64(totS)) || !units.IsFinite(float64(totA)) {
+			return
+		}
+		nodes := make([]NodeMeasure, n)
+		for i := range nodes {
+			nodes[i] = NodeMeasure{NodeID: i, Role: RoleSimulation}
+			if i >= nSim {
+				nodes[i].Role = RoleAnalysis
+			}
+			if mixed {
+				nodes[i].NodeCapability = fuzzClasses[classes>>(2*i)&3]
+			}
+		}
+		var d capDivider
+		d.divide(nodes, totS, totA, c)
+		for i := range nodes {
+			if dead>>i&1 != 0 {
+				nodes[i].Health = Dead
+			}
+		}
+		caps := d.divide(nodes, totS, totA, c)
+
+		var sum, floors, ceilings units.Watts
+		for i, cp := range caps {
+			if nodes[i].Health == Dead {
+				if cp != 0 {
+					t.Fatalf("dead node %d got cap %v", i, cp)
+				}
+				continue
+			}
+			lo, hi := nodes[i].CapRange(c)
+			if cp < lo-capConservationEps || cp > hi+capConservationEps {
+				t.Fatalf("node %d cap %v outside its range [%v, %v]", i, cp, lo, hi)
+			}
+			sum += cp
+			floors += lo
+			ceilings += hi
+		}
+		if want := units.ClampWatts(c.Budget, floors, ceilings); math.Abs(float64(sum-want)) > float64(capConservationEps) {
+			t.Fatalf("caps sum to %v, want %v (budget %v, live floors %v, ceilings %v)", sum, want, c.Budget, floors, ceilings)
+		}
+	})
 }
 
 // TestHeteroAllocatorsRespectPerNodeClamps drives each allocator over

@@ -14,7 +14,9 @@
 //
 // All policies are strictly online: they see only per-node (time, power,
 // cap) measurements from the interval that just completed, and emit new
-// per-node power caps.
+// per-node power caps. The adaptive ones share one capability-weighted
+// division of power over nodes (hetero.go), which clamps every node to
+// its own range; on a single-class cluster it divides evenly.
 package core
 
 import (
@@ -123,9 +125,7 @@ type NodeMeasure struct {
 	// Cap is the per-node power cap that was in force.
 	Cap units.Watts
 	// NodeCapability carries the node's device-class capability in a
-	// heterogeneous cluster. The zero value means "homogeneous node":
-	// every allocator then reproduces the uniform-cluster math bit for
-	// bit, keeping single-class goldens byte-identical.
+	// heterogeneous cluster; it is zero on a single-class cluster.
 	NodeCapability
 }
 
@@ -146,8 +146,9 @@ func EpochTime(busy, interval units.Seconds) units.Seconds {
 // it: the per-node clamp range its RAPL domain supports and a
 // capability weight (unconstrained speed on the reference compute
 // phase, relative to the default class — machine.Class.Weight). The
-// zero value marks a homogeneous node and defers entirely to the
-// global Constraints.
+// zero value is a node of weight 1 with the global Constraints' clamp
+// range, so the one capability-weighted division divides a
+// single-class cluster evenly.
 type NodeCapability struct {
 	// Class names the device class ("cpu", "gpu", ...); informational.
 	Class string
@@ -156,13 +157,10 @@ type NodeCapability struct {
 	// Constraints bound.
 	MinCap units.Watts
 	MaxCap units.Watts
-	// Weight is the class's capability weight (cpu ≡ 1). Zero marks a
-	// homogeneous node.
+	// Weight is the class's capability weight (cpu ≡ 1). Zero counts
+	// as 1.
 	Weight float64
 }
-
-// Hetero reports whether the capability carries class information.
-func (c NodeCapability) Hetero() bool { return c.Weight != 0 }
 
 // CapRange returns the node's effective per-node cap clamp range: its
 // own class range where set, the global constraint range otherwise.
@@ -277,115 +275,12 @@ func partitionTotals(nodes []NodeMeasure) (simT, anaT units.Seconds, simP, anaP 
 	return
 }
 
-// capConservationEps tolerates float rounding when checking that
-// clamped partition caps account for the whole budget.
-const capConservationEps = units.Watts(1e-6)
-
-// clampPartitionCaps enforces the delta_min/delta_max rule of Section
-// IV-A on per-node partition caps pS, pA for nSim and nAna nodes under
-// budget C: if one partition's per-node cap falls outside the supported
-// range it is pinned to the bound and the other partition receives the
-// remaining power; handling delta_max takes priority in ties.
-//
-// When both partitions land outside the range (the double-pin case) the
-// second clamp used to leave part of the budget silently unassigned —
-// or over-assigned, when one partition pinned at delta_max forces the
-// other below delta_min. An explicit remainder pass now pins leftover
-// budget onto whichever partition still has headroom (simulation first,
-// deterministically), and conservation is asserted: leftover power with
-// headroom remaining, or an overdraft with slack remaining, panics.
-func clampPartitionCaps(pS, pA units.Watts, nSim, nAna int, c Constraints) (units.Watts, units.Watts) {
-	remainder := func(pinned units.Watts, nPinned, nOther int) units.Watts {
-		if nOther == 0 {
-			return pinned
-		}
-		rest := (c.Budget - pinned*units.Watts(nPinned)) / units.Watts(nOther)
-		return units.ClampWatts(rest, c.MinCap, c.MaxCap)
-	}
-	if nSim <= 0 && nAna <= 0 {
-		return pS, pA
-	}
-	if nSim <= 0 {
-		return pS, units.ClampWatts(c.Budget/units.Watts(nAna), c.MinCap, c.MaxCap)
-	}
-	if nAna <= 0 {
-		return units.ClampWatts(c.Budget/units.Watts(nSim), c.MinCap, c.MaxCap), pA
-	}
-	// delta_max first (tie priority).
-	switch {
-	case pS > c.MaxCap:
-		pS = c.MaxCap
-		pA = remainder(pS, nSim, nAna)
-	case pA > c.MaxCap:
-		pA = c.MaxCap
-		pS = remainder(pA, nAna, nSim)
-	}
-	switch {
-	case pS < c.MinCap:
-		pS = c.MinCap
-		pA = remainder(pS, nSim, nAna)
-	case pA < c.MinCap:
-		pA = c.MinCap
-		pS = remainder(pA, nAna, nSim)
-	}
-	// Explicit remainder pinning for the double-pin case.
-	leftover := c.Budget - pS*units.Watts(nSim) - pA*units.Watts(nAna)
-	if leftover > capConservationEps {
-		// Budget left on the table: grant it to partitions with
-		// headroom below delta_max.
-		if room := (c.MaxCap - pS) * units.Watts(nSim); room > 0 {
-			g := min(leftover, room)
-			pS += g / units.Watts(nSim)
-			leftover -= g
-		}
-		if room := (c.MaxCap - pA) * units.Watts(nAna); leftover > 0 && room > 0 {
-			g := min(leftover, room)
-			pA += g / units.Watts(nAna)
-			leftover -= g
-		}
-		if leftover > capConservationEps && (pS < c.MaxCap-capConservationEps || pA < c.MaxCap-capConservationEps) {
-			panic(fmt.Sprintf("core: clampPartitionCaps leaked %v of budget %v with headroom remaining (pS=%v pA=%v nSim=%d nAna=%d)",
-				leftover, c.Budget, pS, pA, nSim, nAna))
-		}
-	} else if leftover < -capConservationEps {
-		// Overdraft: one pin forced the other partition's remainder
-		// below delta_min; trim partitions still above it.
-		debt := -leftover
-		if slack := (pS - c.MinCap) * units.Watts(nSim); slack > 0 {
-			t := min(debt, slack)
-			pS -= t / units.Watts(nSim)
-			debt -= t
-		}
-		if slack := (pA - c.MinCap) * units.Watts(nAna); debt > 0 && slack > 0 {
-			t := min(debt, slack)
-			pA -= t / units.Watts(nAna)
-			debt -= t
-		}
-		if debt > capConservationEps && (pS > c.MinCap+capConservationEps || pA > c.MinCap+capConservationEps) {
-			panic(fmt.Sprintf("core: clampPartitionCaps overdrew %v beyond budget %v with slack remaining (pS=%v pA=%v nSim=%d nAna=%d)",
-				debt, c.Budget, pS, pA, nSim, nAna))
-		}
-	}
-	return pS, pA
-}
-
 // expandPartitionCaps materializes per-node cap slices from per-node
 // partition values, aligned with the nodes slice. Dead nodes receive a
 // zero cap (the drivers never write zero caps to hardware); invalid
 // roles panic with the offending value.
 func expandPartitionCaps(nodes []NodeMeasure, pS, pA units.Watts) []units.Watts {
-	return expandPartitionCapsInto(nil, nodes, pS, pA)
-}
-
-// expandPartitionCapsInto is expandPartitionCaps writing into buf
-// (grown when too small): policies that allocate every synchronization
-// keep one scratch slice instead of producing per-call garbage, under
-// the Policy ownership contract (result valid until the next Allocate).
-func expandPartitionCapsInto(buf []units.Watts, nodes []NodeMeasure, pS, pA units.Watts) []units.Watts {
-	if cap(buf) < len(nodes) {
-		buf = make([]units.Watts, len(nodes))
-	}
-	caps := buf[:len(nodes)]
+	caps := make([]units.Watts, len(nodes))
 	for i := range nodes {
 		n := &nodes[i]
 		switch {

@@ -184,11 +184,48 @@ func TestEvenSplitShrinkingNodes(t *testing.T) {
 	}
 }
 
+// divideEven runs the one division on nSim+nAna single-class measures
+// with per-node partition values pS and pA, that is partition totals
+// pS*nSim and pA*nAna, and returns the caps, simulation nodes first.
+func divideEven(pS, pA units.Watts, nSim, nAna int, c Constraints) []units.Watts {
+	ms := make([]NodeMeasure, 0, nSim+nAna)
+	for i := 0; i < nSim; i++ {
+		ms = append(ms, NodeMeasure{NodeID: i, Role: RoleSimulation})
+	}
+	for i := 0; i < nAna; i++ {
+		ms = append(ms, NodeMeasure{NodeID: nSim + i, Role: RoleAnalysis})
+	}
+	var d capDivider
+	return d.divide(ms, pS*units.Watts(nSim), pA*units.Watts(nAna), c)
+}
+
+// partitionCaps returns the per-node caps of the first nSim and of the
+// remaining caps, failing when a partition's nodes disagree.
+func partitionCaps(t *testing.T, caps []units.Watts, nSim int) (s, a units.Watts) {
+	t.Helper()
+	for i, c := range caps {
+		p := &a
+		if i < nSim {
+			p = &s
+		}
+		if i == 0 || i == nSim {
+			*p = c
+		} else if c != *p {
+			t.Fatalf("uneven single-class division: cap[%d] = %v, partition has %v (caps %v)", i, c, *p, caps)
+		}
+	}
+	return s, a
+}
+
+// TestClampPartitionCaps: the division enforces the delta_min/delta_max
+// rule of Section IV-A on single-class partitions: a partition whose
+// per-node share falls outside the range is pinned to the bound and
+// the other partition receives the remaining power.
 func TestClampPartitionCaps(t *testing.T) {
 	c := testConstraints() // budget 880, caps [98,215], 4+4 nodes
 
 	// Below delta_min: pinned, remainder to the other side.
-	s, a := clampPartitionCaps(90, 130, 4, 4, c)
+	s, a := partitionCaps(t, divideEven(90, 130, 4, 4, c), 4)
 	if s != 98 {
 		t.Errorf("sim cap = %v, want delta_min 98", s)
 	}
@@ -199,7 +236,7 @@ func TestClampPartitionCaps(t *testing.T) {
 
 	// Above delta_max with enough budget: pinned at 215.
 	rich := Constraints{Budget: 215*4 + 120*4, MinCap: 98, MaxCap: 215}
-	s, a = clampPartitionCaps(300, 10, 4, 4, rich)
+	s, a = partitionCaps(t, divideEven(300, 10, 4, 4, rich), 4)
 	if s != 215 {
 		t.Errorf("sim cap = %v, want delta_max", s)
 	}
@@ -208,10 +245,9 @@ func TestClampPartitionCaps(t *testing.T) {
 	}
 
 	// The double-pin case: pS above delta_max, pA below delta_min, and
-	// the budget cannot afford delta_max for the pinned side. The old
-	// clamp kept sim at 215 and over-committed the budget by 372 W;
-	// conservation now trims sim to what the budget affords.
-	s, a = clampPartitionCaps(300, 10, 4, 4, c)
+	// the budget cannot afford delta_max for the pinned side: sim gets
+	// what the budget affords once ana sits on its floor.
+	s, a = partitionCaps(t, divideEven(300, 10, 4, 4, c), 4)
 	if a != 98 {
 		t.Errorf("ana cap = %v, want delta_min 98", a)
 	}
@@ -220,17 +256,17 @@ func TestClampPartitionCaps(t *testing.T) {
 	}
 
 	// In range: untouched.
-	s, a = clampPartitionCaps(120, 100, 4, 4, c)
+	s, a = partitionCaps(t, divideEven(120, 100, 4, 4, c), 4)
 	if s != 120 || a != 100 {
 		t.Errorf("in-range caps modified: %v/%v", s, a)
 	}
 
 	// Empty partitions: the live side receives the whole clamped budget.
-	s, a = clampPartitionCaps(110, 110, 4, 0, c)
+	s, _ = partitionCaps(t, divideEven(110, 110, 4, 0, c), 4)
 	if s != 215 { // 880/4 = 220, clamped to delta_max
 		t.Errorf("sim-only cap = %v, want 215", s)
 	}
-	_, a = clampPartitionCaps(110, 110, 0, 4, c)
+	_, a = partitionCaps(t, divideEven(110, 110, 0, 4, c), 0)
 	if a != 215 {
 		t.Errorf("ana-only cap = %v, want 215", a)
 	}
@@ -241,8 +277,12 @@ func TestClampPartitionCapsProperty(t *testing.T) {
 	f := func(rawS, rawA float64) bool {
 		ps := units.Watts(math.Abs(math.Mod(rawS, 400)))
 		pa := units.Watts(math.Abs(math.Mod(rawA, 400)))
-		s, a := clampPartitionCaps(ps, pa, 4, 4, c)
-		return s >= c.MinCap && s <= c.MaxCap && a >= c.MinCap && a <= c.MaxCap
+		for _, cp := range divideEven(ps, pa, 4, 4, c) {
+			if cp < c.MinCap || cp > c.MaxCap {
+				return false
+			}
+		}
+		return true
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -250,7 +290,7 @@ func TestClampPartitionCapsProperty(t *testing.T) {
 }
 
 // TestClampPartitionCapsConservation: for any inputs and any feasible
-// split of the live membership, the clamped caps account for the whole
+// split of the live membership, the divided caps account for the whole
 // budget exactly — unless the range itself forbids it (everything
 // pinned at delta_max still undershoots an over-rich budget).
 func TestClampPartitionCapsConservation(t *testing.T) {
@@ -260,8 +300,10 @@ func TestClampPartitionCapsConservation(t *testing.T) {
 		c := Constraints{Budget: 110 * units.Watts(nSim+nAna), MinCap: 98, MaxCap: 215}
 		ps := units.Watts(math.Abs(math.Mod(rawS, 400)))
 		pa := units.Watts(math.Abs(math.Mod(rawA, 400)))
-		s, a := clampPartitionCaps(ps, pa, nSim, nAna, c)
-		total := s*units.Watts(nSim) + a*units.Watts(nAna)
+		var total units.Watts
+		for _, cp := range divideEven(ps, pa, nSim, nAna, c) {
+			total += cp
+		}
 		return math.Abs(float64(total-c.Budget)) < 1e-6
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -271,13 +313,29 @@ func TestClampPartitionCapsConservation(t *testing.T) {
 	// not; conservation holds until delta_max saturates, then every
 	// survivor is pinned there.
 	c := testConstraints() // 880 W for what was 4+4
-	s, a := clampPartitionCaps(110, 110, 3, 4, c)
-	if got := s*3 + a*4; math.Abs(float64(got-c.Budget)) > 1e-6 {
-		t.Errorf("3+4 survivors allocate %v of %v", got, c.Budget)
+	var d capDivider
+	ms := measures(1, 1, 100, 100, 110)
+	ms[0].Health = Dead // 3+4 survivors
+	caps := d.divide(ms, 110*3, 110*4, c)
+	var got units.Watts
+	for i, cp := range caps {
+		got += cp
+		if i >= 4 && cp != 110 {
+			t.Errorf("3+4 survivors: ana cap[%d] = %v, want 110", i, cp)
+		}
 	}
-	s, a = clampPartitionCaps(110, 110, 2, 2, c) // 880 > 215*4
-	if s != 215 || a != 215 {
-		t.Errorf("saturated survivors = %v/%v, want delta_max pins", s, a)
+	if caps[0] != 0 || math.Abs(float64(got-c.Budget)) > 1e-6 {
+		t.Errorf("3+4 survivors allocate %v of %v (dead cap %v)", got, c.Budget, caps[0])
+	}
+	ms[1].Health, ms[4].Health, ms[5].Health = Dead, Dead, Dead // 2+2, 880 > 215*4
+	for i, cp := range d.divide(ms, 110*2, 110*2, c) {
+		want := units.Watts(215)
+		if ms[i].Health == Dead {
+			want = 0
+		}
+		if cp != want {
+			t.Errorf("saturated survivors: cap[%d] = %v, want %v", i, cp, want)
+		}
 	}
 }
 

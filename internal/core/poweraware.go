@@ -35,9 +35,10 @@ func DefaultPowerAwareConfig(c Constraints) PowerAwareConfig {
 // nodes whose measured power is at their cap are starved; nodes below
 // their cap have excess. Excess power (cap minus measured, less a
 // headroom cushion) is reclaimed from the under-cap nodes and divided
-// evenly among the starved ones. The policy looks only at power — it has
-// no notion of whether a watt moved actually buys performance, which is
-// precisely the blindness the paper demonstrates (Section VII-B1: slack
+// among the starved ones by capability weight (evenly on a single-class
+// cluster). The policy looks only at power — it has no notion of
+// whether a watt moved actually buys performance, which is precisely
+// the blindness the paper demonstrates (Section VII-B1: slack
 // fluctuates between 0.2% and 40% under this policy).
 //
 // Per Section VI-B, the in-situ implementation invokes it at
@@ -89,7 +90,6 @@ func (p *PowerAware) Allocate(step int, nodes []NodeMeasure) []units.Watts {
 	p.sinceAlloc = 0
 
 	c := p.cfg.Constraints
-	het := heteroNodes(nodes)
 	if cap(p.caps) < len(nodes) {
 		p.caps = make([]units.Watts, len(nodes))
 		p.needy = make([]int, 0, len(nodes))
@@ -137,80 +137,32 @@ func (p *PowerAware) Allocate(step int, nodes []NodeMeasure) []units.Watts {
 		}
 	}
 	// Dynamic membership: any budget not covered by the live caps
-	// (a dead node's former share) joins the pool, bounded by what the
-	// survivors can absorb under delta_max.
-	var capTotal units.Watts
-	for i := range nodes {
-		if nodes[i].Health != Dead {
-			capTotal += caps[i]
-		}
-	}
-	if orphan := c.Budget - capTotal - pool; orphan > capConservationEps {
-		maxTotal := c.MaxCap * units.Watts(alive)
-		if het {
-			maxTotal = 0
-			for i := range nodes {
-				if nodes[i].Health == Dead {
-					continue
-				}
-				_, nHi := nodes[i].CapRange(c)
-				maxTotal += nHi
-			}
-		}
-		if room := maxTotal - capTotal; orphan > room {
-			orphan = room
-		}
-		if orphan > 0 {
-			pool += orphan
-		}
-	}
+	// (a dead node's former share) joins the pool.
+	pool = addOrphans(nodes, caps, pool, c)
 
+	// "The excess power is divided evenly among nodes that require more
+	// power": evenly by capability, so a starved GPU gets a larger slice
+	// than a starved low-power node, each bounded by its own ceiling.
 	if len(needy) > 0 && pool > 0 {
-		if het {
-			// Grants follow capability: a starved GPU gets a larger
-			// slice of the pool than a starved low-power node, bounded
-			// by each node's own ceiling.
-			var wsum float64
-			for _, i := range needy {
-				wsum += weightOf(&nodes[i])
+		var wsum float64
+		for _, i := range needy {
+			wsum += weightOf(&nodes[i])
+		}
+		pool0 := pool
+		for _, i := range needy {
+			grant := units.Watts(float64(pool0) * weightOf(&nodes[i]) / wsum)
+			_, nHi := nodes[i].CapRange(c)
+			if room := nHi - caps[i]; grant > room {
+				grant = room
 			}
-			pool0 := pool
-			for _, i := range needy {
-				grant := units.Watts(float64(pool0) * weightOf(&nodes[i]) / wsum)
-				_, nHi := nodes[i].CapRange(c)
-				if room := nHi - caps[i]; grant > room {
-					grant = room
-				}
-				caps[i] += grant
-				pool -= grant
-			}
-		} else {
-			// "The excess power is divided evenly among nodes that
-			// require more power."
-			share := pool / units.Watts(len(needy))
-			for _, i := range needy {
-				grant := share
-				room := c.MaxCap - caps[i]
-				if grant > room {
-					grant = room
-				}
-				caps[i] += grant
-				pool -= grant
-			}
+			caps[i] += grant
+			pool -= grant
 		}
 	}
-	// Any unplaceable remainder (all needy nodes at delta_max, or no
-	// needy nodes at all) is returned evenly so the budget isn't leaked.
-	if pool > 0 {
-		share := pool / units.Watts(alive)
-		for i := range nodes {
-			if nodes[i].Health == Dead {
-				continue
-			}
-			nLo, nHi := nodes[i].CapRange(c)
-			caps[i] = units.ClampWatts(caps[i]+share, nLo, nHi)
-		}
-	}
+	// Any unplaceable remainder (all needy nodes at their ceilings, or
+	// no needy nodes at all) is returned evenly so the budget isn't
+	// leaked.
+	spreadSlack(nodes, caps, pool, alive, c)
 
 	p.allocs++
 	return caps

@@ -41,9 +41,11 @@ type SeeSAwConfig struct {
 //     (Eq. 3): P_new = r*P_OPT + (1-r)*P_prev. (Eq. 4 as printed in the
 //     paper reduces to P_OPT exactly; blending with the previous
 //     allocation is the evidently intended noise guard — see DESIGN.md.)
-//  5. divides each partition's power evenly over its nodes and clamps to
-//     [delta_min, delta_max], giving the remainder to the other
-//     partition, delta_max taking priority in ties.
+//  5. divides each partition's power over its nodes and clamps each
+//     node to [delta_min, delta_max], giving the remainder to the other
+//     partition. The division weights nodes by capability and clamps
+//     each to its own class range; on a single-class cluster every
+//     weight is 1 and it divides evenly, as the paper does.
 type SeeSAw struct {
 	cfg SeeSAwConfig
 
@@ -57,9 +59,10 @@ type SeeSAw struct {
 	sinceAlloc int
 	allocs     int
 
-	// scratch backs the returned caps slice (Policy ownership
-	// contract: valid until the next Allocate).
-	scratch []units.Watts
+	// div divides the partition totals over the nodes and backs the
+	// returned caps (Policy ownership contract: valid until the next
+	// Allocate).
+	div capDivider
 }
 
 // NewSeeSAw returns a SeeSAw allocator.
@@ -150,22 +153,8 @@ func (s *SeeSAw) Allocate(step int, nodes []NodeMeasure) []units.Watts {
 	}
 	s.prevSim, s.prevAna = newSim, newAna
 
-	if heteroNodes(nodes) {
-		// Mixed device classes: divide each partition's power across
-		// its nodes by capability weight instead of evenly, respecting
-		// every node's own clamp range.
-		s.allocs++
-		return heteroPartitionCaps(nodes, newSim, newAna, s.cfg.Constraints)
-	}
-
-	// Per-node division and delta clamping.
-	perSim := newSim / units.Watts(nSim)
-	perAna := newAna / units.Watts(nAna)
-	perSim, perAna = clampPartitionCaps(perSim, perAna, nSim, nAna, s.cfg.Constraints)
-
 	s.allocs++
-	s.scratch = expandPartitionCapsInto(s.scratch, nodes, perSim, perAna)
-	return s.scratch
+	return s.div.divide(nodes, newSim, newAna, s.cfg.Constraints)
 }
 
 // OptimalSplit solves the paper's Eq. 1-2 for the budget split that the

@@ -164,33 +164,8 @@ func (t *TimeAware) Allocate(step int, nodes []NodeMeasure) []units.Watts {
 		}
 	}
 	// Dynamic membership: budget not covered by the live caps (a dead
-	// node's former share) joins the pool, bounded by what the
-	// survivors can absorb under delta_max.
-	var capTotal units.Watts
-	for i := range nodes {
-		if nodes[i].Health != Dead {
-			capTotal += caps[i]
-		}
-	}
-	if orphan := c.Budget - capTotal - pool; orphan > capConservationEps {
-		maxTotal := c.MaxCap * units.Watts(alive)
-		if heteroNodes(nodes) {
-			maxTotal = 0
-			for i := range nodes {
-				if nodes[i].Health == Dead {
-					continue
-				}
-				_, nHi := nodes[i].CapRange(c)
-				maxTotal += nHi
-			}
-		}
-		if room := maxTotal - capTotal; orphan > room {
-			orphan = room
-		}
-		if orphan > 0 {
-			pool += orphan
-		}
-	}
+	// node's former share) joins the pool.
+	pool = addOrphans(nodes, caps, pool, c)
 
 	// Grant the freed power to the slower nodes, bounded by each
 	// node's own ceiling.
@@ -209,16 +184,7 @@ func (t *TimeAware) Allocate(step int, nodes []NodeMeasure) []units.Watts {
 	}
 	// "If there is slack power, it is redistributed to all nodes
 	// equally."
-	if pool > 0 {
-		share := pool / units.Watts(alive)
-		for i := range nodes {
-			if nodes[i].Health == Dead {
-				continue
-			}
-			nLo, nHi := nodes[i].CapRange(c)
-			caps[i] = units.ClampWatts(caps[i]+share, nLo, nHi)
-		}
-	}
+	spreadSlack(nodes, caps, pool, alive, c)
 
 	// Decay the rate of change toward the configured minimum.
 	t.step = units.Watts(float64(t.step) * t.cfg.StepDecay)

@@ -96,14 +96,6 @@ type Config struct {
 	// first node of each partition so power traces can be resampled
 	// (Figure 1).
 	TraceSegments bool
-	// NoNoiseMemo disables the job's noise-trace memoization
-	// (jobstate.go): episodes draw every jitter variate live from the
-	// node streams instead of replaying the recorded trace. Replay is
-	// byte-identical by construction (the rollout goldens pin it); the
-	// flag is the escape hatch for excluding the memo layer when
-	// diagnosing a suspect run. One-shot Run sets it implicitly — a
-	// single episode gains nothing from recording its own draws.
-	NoNoiseMemo bool
 	// Faults is an optional deterministic fault plan: node kills and
 	// slow-node excursions keyed to the synchronization schedule (an
 	// event planned for sync k is in force before interval k executes).
@@ -163,9 +155,9 @@ type Result struct {
 // episode loop.
 func Run(ctx context.Context, cfg Config) (*Result, error) {
 	// Recording noise traces costs exactly one episode's worth of live
-	// draws; a one-shot run would pay it without ever replaying.
-	cfg.NoNoiseMemo = true
-	st, err := NewJobState(cfg)
+	// draws; a one-shot run would pay it without ever replaying, so it
+	// draws live.
+	st, err := newJobState(cfg, false)
 	if err != nil {
 		return nil, err
 	}

@@ -63,7 +63,7 @@ type JobState struct {
 	// noise is the job's recorded jitter draws — the standard normals
 	// every node's Box-Muller stream produces over one episode, recorded
 	// once per job and replayed read-only by every Episode (nil when
-	// memoization is off: faulted, traced or NoNoiseMemo jobs). It is
+	// memoization is off: faulted jobs and one-shot Run). It is
 	// interval-major: noise[k] holds interval k's draws as one
 	// contiguous run, which the window loop reads front to back.
 	// traceBytes is their storage footprint, for cache size accounting.
@@ -89,10 +89,17 @@ type noiseWindow struct {
 }
 
 // NewJobState validates the workload and precomputes the job's
-// episode-invariant tables. The Policy, Constraints, InitialSimCap,
-// InitialAnaCap, CapMode and Telemetry fields of cfg are ignored — they
-// are episode parameters, supplied to Episode.Run.
+// episode-invariant tables, recording the noise memo when the job has
+// no faults. The Policy, Constraints, InitialSimCap, InitialAnaCap,
+// CapMode and Telemetry fields of cfg are ignored — they are episode
+// parameters, supplied to Episode.Run.
 func NewJobState(cfg Config) (*JobState, error) {
+	return newJobState(cfg, cfg.Faults.Empty())
+}
+
+// newJobState is NewJobState with the noise memo recorded only when
+// memo is set; one-shot Run leaves it unset and draws live.
+func newJobState(cfg Config, memo bool) (*JobState, error) {
 	if err := cfg.Spec.Validate(); err != nil {
 		return nil, err
 	}
@@ -150,7 +157,7 @@ func NewJobState(cfg Config) (*JobState, error) {
 	// keep the live RNG path for memory: a memo on the benchmark's
 	// faulted search grid raised its resident set from 12.7 to 26.8 MiB
 	// (DESIGN.md, "Noise traces and the state cache").
-	if cfg.Faults.Empty() && !cfg.NoNoiseMemo {
+	if memo {
 		st.recordNoiseTraces()
 	}
 	return st, nil
@@ -596,8 +603,8 @@ func (ep *Episode) Run(ctx context.Context, prm EpisodeParams) (*Result, error) 
 			m.EpochTime = core.EpochTime(busy[i], wall)
 			m.Power = units.AvgPower(e, wall)
 			m.Cap = n.RAPL().LongCap()
-			// Zero on a homogeneous cluster, so single-class runs
-			// take the allocators' legacy uniform path unchanged.
+			// Zero on a homogeneous cluster: weight 1 and the global
+			// clamp range in the allocators' one division.
 			m.NodeCapability = cl.Capability(i)
 		}
 		ep.clock += wall

@@ -258,10 +258,6 @@ type Rank struct {
 	// broadcast it — the cond-path analogue of parked, keeping
 	// cancellation registry-free.
 	condG atomic.Pointer[group]
-
-	// lastSplit is the Comm this rank's most recent Split returned,
-	// reused when a repeat Split resolves to the same (cached) group.
-	lastSplit *Comm
 }
 
 // Run executes body on n concurrent ranks and blocks until all return.
@@ -578,16 +574,6 @@ type group struct {
 	// previous generation stores it, before releasing that generation's
 	// gates; doCancel loads it to force the gates open.
 	cur atomic.Pointer[rendezvousState]
-
-	// splitPrev caches the previous Split's per-color results on this
-	// communicator. Drivers re-split the same world with the same
-	// color/key assignment once per job, so a repeat is the common case;
-	// when a color's sorted bucket matches the previous generation's,
-	// its group object is reused instead of rebuilt (identical members
-	// name the same logical communicator, and its generation counter
-	// serializes collectives exactly as a fresh group would). Written
-	// only by the completer, which runs exclusively.
-	splitPrev map[int]*splitColor
 }
 
 // shardSizeFor picks the arrival-tree fan-in for a k-member group:
@@ -1080,55 +1066,11 @@ type splitKey struct {
 	color, key, world, rank int
 }
 
-// splitSerialMax bounds the communicator size for which the completer
-// builds every per-color group itself inside the reduce. Above it the
-// serial work is deferred: the completer only buckets contributions by
-// color, and each color's group is built after the wakeup by the first
-// of its members to claim it (see splitColor).
-const splitSerialMax = 64
-
-// splitColor is one color's deferred group construction. The reduce
-// buckets the contributions; after the rendezvous releases, every
-// member of the color races a claim, the winner sorts the bucket by
-// (key, old rank), builds the group and opens the gate, and the rest
-// wait on it. The builder never blocks between claim and release, so
-// waiters cannot hang even when the run is being cancelled.
+// splitColor is one color's result of a Split: its contributions sorted
+// by (key, old rank) and the group they form.
 type splitColor struct {
-	sks     []splitKey // sorted by (key, rank) once built
-	claimed atomic.Bool
-	done    gate
-	group   *group
-	// prev is this color's result from the parent's previous Split, if
-	// any; the builder reuses prev.group when the sorted buckets match,
-	// then clears the pointer so generations do not chain.
-	prev *splitColor
-}
-
-// finishSplitColor resolves a claimed color's group: sort the bucket,
-// reuse the previous generation's group when the membership is
-// unchanged, build otherwise.
-func finishSplitColor(sc *splitColor) {
-	sortSplitKeys(sc.sks)
-	if p := sc.prev; p != nil && splitKeysEqual(sc.sks, p.sks) {
-		sc.group = p.group
-	} else {
-		sc.group = buildSplitGroup(sc.sks)
-	}
-	sc.prev = nil
-}
-
-// splitKeysEqual reports whether two sorted color buckets carry the
-// same (color, key, world, rank) contributions.
-func splitKeysEqual(a, b []splitKey) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	sks   []splitKey
+	group *group
 }
 
 // sortSplitKeys orders one color's contributions by (key, old rank),
@@ -1170,45 +1112,12 @@ func splitRankIn(sks []splitKey, key, oldRank int) int {
 
 // Split partitions the communicator by color, ordering ranks within each
 // new communicator by (key, old rank), mirroring MPI_Comm_split. Ranks
-// passing a negative color receive nil (MPI_UNDEFINED).
-//
-// Small communicators use a serial fast path (the completer builds the
-// handful of groups inside the reduce). At scale the completer only
-// buckets by color — O(k) — and the per-color sort and group
-// construction move onto the arriving ranks themselves, one builder per
-// color, so the work the last arriver serializes no longer grows with
-// the number and size of the new communicators.
+// passing a negative color receive nil (MPI_UNDEFINED). The completer
+// buckets the contributions by color, sorts each bucket and builds its
+// group; every rank then finds its own place in its color's bucket.
 func (c *Comm) Split(color, key int) *Comm {
 	in := splitKey{color: color, key: key, world: c.rank.id, rank: c.myRank}
-	g := c.group
-	if len(g.members) <= splitSerialMax {
-		res := c.rendezvous("split", in, 16, func(inputs []any) any {
-			byColor := make(map[int][]splitKey)
-			for _, bx := range inputs {
-				sk := bx.(splitKey)
-				if sk.color < 0 {
-					continue
-				}
-				byColor[sk.color] = append(byColor[sk.color], sk)
-			}
-			colors := make(map[int]*splitColor, len(byColor))
-			for color, sks := range byColor {
-				sc := &splitColor{sks: sks, prev: g.splitPrev[color]}
-				finishSplitColor(sc)
-				colors[color] = sc
-			}
-			g.splitPrev = colors
-			return colors
-		})
-		if color < 0 {
-			return nil
-		}
-		sc := res.(map[int]*splitColor)[color]
-		return c.splitComm(sc, key)
-	}
-
 	res := c.rendezvous("split", in, 16, func(inputs []any) any {
-		prev := g.splitPrev
 		colors := make(map[int]*splitColor)
 		for _, bx := range inputs {
 			sk := bx.(splitKey)
@@ -1217,38 +1126,20 @@ func (c *Comm) Split(color, key int) *Comm {
 			}
 			sc := colors[sk.color]
 			if sc == nil {
-				sc = &splitColor{done: newGate(), prev: prev[sk.color]}
-				if sc.prev != nil {
-					sc.sks = make([]splitKey, 0, len(sc.prev.sks))
-				}
+				sc = &splitColor{}
 				colors[sk.color] = sc
 			}
 			sc.sks = append(sc.sks, sk)
 		}
-		g.splitPrev = colors
+		for _, sc := range colors {
+			sortSplitKeys(sc.sks)
+			sc.group = buildSplitGroup(sc.sks)
+		}
 		return colors
 	})
 	if color < 0 {
 		return nil
 	}
 	sc := res.(map[int]*splitColor)[color]
-	if sc.claimed.CompareAndSwap(false, true) {
-		finishSplitColor(sc)
-		sc.done.release()
-	} else {
-		<-sc.done.ch
-	}
-	return c.splitComm(sc, key)
-}
-
-// splitComm wraps a resolved color in a Comm for this rank, reusing the
-// rank's previously returned handle when the group was reused (the two
-// are indistinguishable: same group, same rank in it).
-func (c *Comm) splitComm(sc *splitColor, key int) *Comm {
-	if lc := c.rank.lastSplit; lc != nil && lc.group == sc.group {
-		return lc
-	}
-	out := &Comm{rank: c.rank, group: sc.group, myRank: splitRankIn(sc.sks, key, c.myRank)}
-	c.rank.lastSplit = out
-	return out
+	return &Comm{rank: c.rank, group: sc.group, myRank: splitRankIn(sc.sks, key, c.myRank)}
 }

@@ -63,13 +63,6 @@ type Spec struct {
 	// episodes run on the pooled episode, the same path as plain ones,
 	// and the job key does not name the hub.
 	Telemetry *telemetry.Hub
-	// NoNoiseMemo disables the job's noise-trace memoization
-	// (cosim.Config.NoNoiseMemo): episodes draw jitter live from the
-	// node streams instead of replaying the recorded trace. Replay is
-	// byte-identical by construction — the flag is a diagnostic escape
-	// hatch, and it forks the job key so memoized and live JobStates
-	// never share a cache entry.
-	NoNoiseMemo bool
 }
 
 // paper-default cap range, mirrored from the experiment harness.
@@ -138,9 +131,6 @@ func (s Spec) jobKey() string {
 	b = append(b, s.Faults.String()...)
 	b = append(b, "/classes="...)
 	b = append(b, s.Classes.String()...)
-	if s.NoNoiseMemo {
-		b = append(b, "/nomemo"...)
-	}
 	return string(b)
 }
 
@@ -148,13 +138,12 @@ func (s Spec) jobKey() string {
 // jobKey names, which cosim.NewJobState reads.
 func (s Spec) jobConfig() cosim.Config {
 	return cosim.Config{
-		Spec:        s.Workload,
-		Seed:        s.Seed,
-		RunSeed:     s.RunSeed,
-		Noise:       s.Noise,
-		Faults:      s.Faults,
-		Classes:     s.Classes,
-		NoNoiseMemo: s.NoNoiseMemo,
+		Spec:    s.Workload,
+		Seed:    s.Seed,
+		RunSeed: s.RunSeed,
+		Noise:   s.Noise,
+		Faults:  s.Faults,
+		Classes: s.Classes,
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"math"
 	"testing"
 
+	"seesaw/internal/core"
 	"seesaw/internal/cosim"
 	"seesaw/internal/fault"
 	"seesaw/internal/machine"
@@ -154,8 +155,9 @@ func TestEnvByteIdenticalToInLoopWorkflow(t *testing.T) {
 
 // TestNoiseMemoGolden pins the memoization contract end to end: a
 // memoized episode (noise trace recorded once, replayed thereafter) is
-// byte-identical to the same spec with NoNoiseMemo — every jitter
-// variate drawn live from the node streams. The cases vary what the
+// byte-identical to a one-shot cosim.Run of the same job, policy and
+// constraints, which draws every jitter variate live from the node
+// streams. The cases vary what the
 // interval-major trace windows depend on: draws per execution,
 // per-interval and per-partition phase counts (a trailing interval with
 // no analysis, analyses due on different steps) and device classes.
@@ -190,34 +192,37 @@ func TestNoiseMemoGolden(t *testing.T) {
 		}
 		for _, name := range []string{"seesaw", "time-aware", "power-aware", "static"} {
 			t.Run(tc.name+"/"+name, func(t *testing.T) {
-				run := func(s Spec) *Result {
+				cons := spec.constraints(n)
+				newPolicy := func() core.Policy {
 					t.Helper()
-					env := NewEnv()
-					// Two rollouts: the second replays the recorded trace
-					// (or, with NoNoiseMemo, redraws live) over the pooled
-					// episode.
-					var res *Result
-					for i := 0; i < 2; i++ {
-						pol, err := policy.New(name, s.constraints(n), 1)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if res, err = env.Rollout(context.Background(), s, pol); err != nil {
-							t.Fatal(err)
-						}
+					pol, err := policy.New(name, cons, 1)
+					if err != nil {
+						t.Fatal(err)
 					}
-					return res
+					return pol
+				}
+				// Two rollouts: the second replays the recorded trace
+				// over the pooled episode.
+				env := NewEnv()
+				var memo *Result
+				for i := 0; i < 2; i++ {
+					var err error
+					if memo, err = env.Rollout(context.Background(), spec, newPolicy()); err != nil {
+						t.Fatal(err)
+					}
 				}
 
-				memo := run(spec)
-				live := spec
-				live.NoNoiseMemo = true
-				liveRes := run(live)
+				cfg := spec.jobConfig()
+				cfg.Policy, cfg.Constraints, cfg.CapMode = newPolicy(), cons, cosim.CapLong
+				live, err := cosim.Run(context.Background(), cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
 
-				if memo.TotalTime != liveRes.TotalTime || memo.TotalEnergy != liveRes.TotalEnergy {
+				if memo.TotalTime != live.TotalTime || memo.TotalEnergy != live.TotalEnergy {
 					t.Error("memoized totals diverge from live draws")
 				}
-				if !bytes.Equal(syncCSV(t, memo.SyncLog), syncCSV(t, liveRes.SyncLog)) {
+				if !bytes.Equal(syncCSV(t, memo.SyncLog), syncCSV(t, live.SyncLog)) {
 					t.Error("memoized SyncLog diverges from live draws")
 				}
 			})

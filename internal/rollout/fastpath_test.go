@@ -147,21 +147,31 @@ func TestEnvPooledAcrossEpisodeParams(t *testing.T) {
 // policy the search benchmark runs; the adaptive ones keep their caps
 // in scratch reused across Allocate calls. The faulted case pins the
 // per-interval work-scaled tables and the episode's health copy as
-// allocation-free too (its fault log is a fixed cost per episode).
+// allocation-free too (its fault log is a fixed cost per episode). The
+// classed cases pin the capability-weighted division on a cluster with
+// device classes as allocation-free as on a single-class one.
 func TestRolloutZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's runtime perturbs allocation counts")
 	}
-	cases := []struct{ name, policy, faults string }{
-		{"seesaw", "seesaw", ""},
-		{"time-aware", "time-aware", ""},
-		{"power-aware", "power-aware", ""},
-		{"static", "static", ""},
-		{"seesaw-faulted", "seesaw", "slow:0@5x2+5,kill:7@10"},
+	const classMap = "1-2:gpu,5-6:lowpower"
+	cases := []struct{ name, policy, faults, classes string }{
+		{"seesaw", "seesaw", "", ""},
+		{"time-aware", "time-aware", "", ""},
+		{"power-aware", "power-aware", "", ""},
+		{"static", "static", "", ""},
+		{"seesaw-faulted", "seesaw", "slow:0@5x2+5,kill:7@10", ""},
+		{"seesaw-classes", "seesaw", "", classMap},
+		{"power-aware-classes", "power-aware", "", classMap},
+		{"time-aware-classes", "time-aware", "", classMap},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			plan, err := fault.Parse(tc.faults)
+			if err != nil {
+				t.Fatal(err)
+			}
+			classes, err := machine.ParseClassMap(tc.classes)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -176,6 +186,7 @@ func TestRolloutZeroAllocs(t *testing.T) {
 					RunSeed: 22,
 					Noise:   machine.DefaultNoise(),
 					Faults:  plan,
+					Classes: classes,
 				}
 				fac, err := policy.Lookup(tc.policy)
 				if err != nil {

@@ -23,7 +23,7 @@ import (
 const DefaultCacheBytes int64 = 512 << 20
 
 // entrySizeFloor is the accounted size of an entry whose job records
-// no noise traces (faulted or NoNoiseMemo jobs, instrumented or not):
+// no noise traces (faulted jobs, instrumented or not):
 // the phase tables and schedule are small but not free, and a zero
 // size would let unbounded numbers of such entries pile up below the
 // byte bound.

@@ -265,15 +265,4 @@ func TestStateCacheKeyIndependence(t *testing.T) {
 	if c.Stats().Evictions != 0 {
 		t.Error("evictions under an unfilled default bound")
 	}
-	// Keys must fork on the memo flag so live and replayed JobStates
-	// never share an entry.
-	s := cacheSpec(t, 0)
-	memoKey := s.jobKey()
-	s.NoNoiseMemo = true
-	if s.jobKey() == memoKey {
-		t.Error("NoNoiseMemo does not fork the job key")
-	}
-	if want := memoKey + "/nomemo"; s.jobKey() != want {
-		t.Errorf("nomemo key = %q, want %q", s.jobKey(), want)
-	}
 }
