@@ -7,7 +7,7 @@
 //	insitu [-policy seesaw] [-analyses msd,rdf] [-sim 2] [-ana 2]
 //	       [-steps 100] [-j 1] [-w 1] [-cap 110] [-seed 1]
 //	       [-topology space-shared|time-shared|in-transit]
-//	       [-faults PLAN] [-classes MAP] [-no-ana-memo] [-csv]
+//	       [-faults PLAN] [-classes MAP] [-csv]
 //	       [-cpuprofile FILE] [-memprofile FILE]
 //
 // -topology picks the placement: space-shared (the default: separate
@@ -67,7 +67,6 @@ func main() {
 	faults := flag.String("faults", "", "fault plan, e.g. 'slow:1@5x2+20' or 'kill:3@20' (see internal/fault)")
 	classes := flag.String("classes", "", "device-class map, e.g. '0-1:cpu,2-3:gpu' (presets: "+strings.Join(machine.PresetNames(), ", ")+")")
 	topology := flag.String("topology", "", "placement: space-shared (default), time-shared (sim and analysis co-resident, needs -sim == -ana) or in-transit (frames pay a staging hop)")
-	noAnaMemo := flag.Bool("no-ana-memo", false, "disable analysis-side memoization (run every rank's kernels in place; results are byte-identical either way)")
 	csv := flag.Bool("csv", false, "emit the per-synchronization log as CSV")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the job to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile taken after the job to this file")
@@ -129,7 +128,6 @@ func main() {
 		Seed:        *seed,
 		Faults:      plan,
 		Classes:     classMap,
-		NoAnaMemo:   *noAnaMemo,
 		Topology:    *topology,
 	})
 	if err != nil {

@@ -123,11 +123,15 @@ func (e *ExploringSeeSAw) Allocate(step int, nodes []NodeMeasure) []units.Watts 
 		e.preCaps = append([]units.Watts(nil), caps...)
 		probe := make([]units.Watts, len(caps))
 		for i, n := range nodes {
+			if n.Health == Dead {
+				continue // dead nodes keep a zero cap
+			}
 			d := delta
 			if n.Role == RoleAnalysis {
 				d = -delta
 			}
-			probe[i] = units.ClampWatts(caps[i]+d, e.cfg.Constraints.MinCap, e.cfg.Constraints.MaxCap)
+			lo, hi := n.CapRange(e.cfg.Constraints)
+			probe[i] = units.ClampWatts(caps[i]+d, lo, hi)
 		}
 		return probe
 	}

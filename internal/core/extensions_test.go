@@ -171,6 +171,55 @@ func TestExploringKeepsWinningProbe(t *testing.T) {
 	}
 }
 
+// TestAblationCapsInNodeRange drives the hierarchical and exploring
+// allocators over a classed 4+4 set with a dead analysis node, closing
+// the loop through exploration probes: every live cap stays inside its
+// node's own range (90 W for the lowpower nodes, not the global 215 W),
+// and the dead node's cap stays 0.
+func TestAblationCapsInNodeRange(t *testing.T) {
+	c := testConstraints()
+	lowpower := NodeCapability{Class: "lowpower", MinCap: 40, MaxCap: 90, Weight: 0.6}
+	ecfg := DefaultExploringConfig(c)
+	ecfg.Period = 2
+	explore := MustNewExploringSeeSAw(ecfg)
+	for _, pol := range []Policy{MustNewHierarchical(DefaultHierarchicalConfig(c)), explore} {
+		t.Run(pol.Name(), func(t *testing.T) {
+			ms := measures(4, 4, 105, 110, 110)
+			for i := range ms {
+				// Skew busy times within each partition so the
+				// hierarchical level moves power between siblings.
+				ms[i].BusyTime = units.Seconds(3 + 0.2*float64(i))
+			}
+			ms[6].NodeCapability, ms[6].Cap = lowpower, 90
+			ms[7].NodeCapability, ms[7].Cap = lowpower, 90
+			ms[5] = NodeMeasure{Role: RoleAnalysis, Health: Dead}
+			probes := 0
+			for step := 1; step <= 12; step++ {
+				caps := pol.Allocate(step, ms)
+				if explore.probing {
+					probes++
+				}
+				for i := range caps {
+					lo, hi := ms[i].CapRange(c)
+					if ms[i].Health == Dead {
+						if caps[i] != 0 {
+							t.Fatalf("step %d: dead node %d capped at %v", step, i, caps[i])
+						}
+						continue
+					}
+					if caps[i] < lo || caps[i] > hi {
+						t.Fatalf("step %d: node %d cap %v outside its range [%v, %v]", step, i, caps[i], lo, hi)
+					}
+					ms[i].Cap = caps[i]
+				}
+			}
+			if pol == Policy(explore) && probes == 0 {
+				t.Fatal("no exploration probe launched")
+			}
+		})
+	}
+}
+
 func TestExploringCapsInRange(t *testing.T) {
 	cfg := DefaultExploringConfig(testConstraints())
 	cfg.Period = 2

@@ -88,6 +88,36 @@ func TestPowerAwareRedistributesDeadShare(t *testing.T) {
 	}
 }
 
+// TestOrphansFillLiveCeilings: three dead nodes leave more budget than
+// the survivors can hold, so every survivor ends at its own ceiling.
+// Power-aware trims two lowpower donors to 51 W and grants the pool to
+// two needy cpu nodes (which reach 215 W) and a needy lowpower node
+// (already at 90 W); the remainder, spread in equal shares, must carry
+// the donors back up to 90 W. Shrinking the orphan pool to the live
+// ceilings' room first left each donor at 82.2 W.
+func TestOrphansFillLiveCeilings(t *testing.T) {
+	c := testConstraints()
+	lowpower := NodeCapability{Class: "lowpower", MinCap: 40, MaxCap: 90, Weight: 0.6}
+	ms := measures(5, 3, 110, 90, 110)
+	for _, i := range []int{2, 3, 4} {
+		ms[i].NodeCapability, ms[i].Cap = lowpower, 90
+	}
+	ms[2].Power, ms[3].Power = 50, 50
+	for i := 5; i < 8; i++ {
+		kill(ms, i)
+	}
+	caps := MustNewPowerAware(DefaultPowerAwareConfig(c)).Allocate(1, ms)
+	for i := range ms {
+		want := units.Watts(0)
+		if ms[i].Health != Dead {
+			_, want = ms[i].CapRange(c)
+		}
+		if math.Abs(float64(caps[i]-want)) > 1e-9 {
+			t.Errorf("node %d cap %v, want %v", i, caps[i], want)
+		}
+	}
+}
+
 func TestPowerAwareActsOnDeadEvenWithoutNeedy(t *testing.T) {
 	c := testConstraints()
 	p := MustNewPowerAware(DefaultPowerAwareConfig(c))

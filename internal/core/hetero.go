@@ -139,8 +139,8 @@ func waterfill(ms []capMember, total units.Watts, caps []units.Watts) {
 const capConservationEps = units.Watts(1e-6)
 
 // addOrphans returns pool plus the budget the live caps leave
-// uncovered (a dead node's former share), bounded by what the live
-// nodes can still absorb under their own ceilings.
+// uncovered (a dead node's former share). The grants and spreadSlack
+// clamp each cap to its own ceiling, so the pool needs no bound here.
 func addOrphans(nodes []NodeMeasure, caps []units.Watts, pool units.Watts, c Constraints) units.Watts {
 	var capTotal units.Watts
 	for i := range nodes {
@@ -148,28 +148,15 @@ func addOrphans(nodes []NodeMeasure, caps []units.Watts, pool units.Watts, c Con
 			capTotal += caps[i]
 		}
 	}
-	orphan := c.Budget - capTotal - pool
-	if orphan <= capConservationEps {
-		return pool
-	}
-	var maxTotal units.Watts
-	for i := range nodes {
-		if nodes[i].Health != Dead {
-			_, hi := nodes[i].CapRange(c)
-			maxTotal += hi
-		}
-	}
-	if room := maxTotal - capTotal; orphan > room {
-		orphan = room
-	}
-	if orphan > 0 {
+	if orphan := c.Budget - capTotal - pool; orphan > capConservationEps {
 		pool += orphan
 	}
 	return pool
 }
 
 // spreadSlack returns an unplaced pool to the alive nodes in equal
-// shares, each clamped to its own range, so no budget is leaked.
+// shares, each clamped to its own range. The part of a share that a
+// node at its ceiling cannot take is dropped, not passed on.
 func spreadSlack(nodes []NodeMeasure, caps []units.Watts, pool units.Watts, alive int, c Constraints) {
 	if pool <= 0 {
 		return

@@ -120,7 +120,8 @@ func (h *Hierarchical) Allocate(step int, nodes []NodeMeasure) []units.Watts {
 		if n.Health == Dead {
 			continue // dead nodes keep a zero cap
 		}
-		out[i] = units.ClampWatts(caps[i]+h.offsets[i], h.cfg.Constraints.MinCap, h.cfg.Constraints.MaxCap)
+		lo, hi := n.CapRange(h.cfg.Constraints)
+		out[i] = units.ClampWatts(caps[i]+h.offsets[i], lo, hi)
 	}
 	return out
 }

@@ -22,13 +22,13 @@ import (
 // rank, instead of repeating the same floating-point kernels AnaRanks
 // times.
 //
-// The recorder makes exactly the Consume calls runAnaRank makes, in the
-// same order (source-major, then task order, due tasks only), against
-// the same frame values (analyses never mutate frames, so it consumes
-// the recorded frames directly), so every recorded work count and
-// result float is the float the per-rank run would have produced. The
-// -no-ana-memo escape hatch runs the legacy in-place path; the golden
-// test pins both to identical bytes.
+// The recorder makes exactly the Consume calls a rank running its own
+// kernels would make, in the same order (source-major, then task order,
+// due tasks only), against the same frame values (analyses never mutate
+// frames, so it consumes the recorded frames directly), so every
+// recorded work count and result float is the float the per-rank run
+// would have produced. The golden tests pin the job results to bytes
+// and digests that per-rank runs produced.
 type anaTrace struct {
 	// specs resolves each configured analysis's constant profile once.
 	specs []anaTaskSpec

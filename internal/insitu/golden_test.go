@@ -3,6 +3,7 @@ package insitu
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"flag"
 	"fmt"
 	"os"
@@ -85,22 +86,16 @@ func renderGolden(res *Result) []byte {
 // TestAnalysisMemoGolden pins the full job result — virtual times,
 // per-synchronization records and every analysis output
 // float — to the bytes the unmemoized (per-rank Consume) runtime
-// produced, captured before analysis-side memoization was introduced.
-// Both the memoized default and the -no-ana-memo escape hatch must
-// reproduce the recording exactly: replaying per-kind integrations may
-// not move a single bit of any observable.
+// produced, captured before analysis-side memoization was introduced:
+// replaying per-kind integrations may not move a single bit of any
+// observable.
 func TestAnalysisMemoGolden(t *testing.T) {
 	path := filepath.Join("testdata", "insitu_golden.txt")
-	run := func(noMemo bool) []byte {
-		cfg := goldenConfig()
-		cfg.NoAnaMemo = noMemo
-		res, err := Run(context.Background(), cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return renderGolden(res)
+	res, err := Run(context.Background(), goldenConfig())
+	if err != nil {
+		t.Fatal(err)
 	}
-	memoized := run(false)
+	memoized := renderGolden(res)
 	if *updateGolden {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
@@ -114,65 +109,49 @@ func TestAnalysisMemoGolden(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reading golden (run with -update-golden to create): %v", err)
 	}
-	compare := func(mode string, got []byte) {
-		if bytes.Equal(got, want) {
-			return
-		}
-		n := len(got)
-		if len(want) < n {
-			n = len(want)
-		}
-		for i := 0; i < n; i++ {
-			if got[i] != want[i] {
-				lo := i - 40
-				if lo < 0 {
-					lo = 0
-				}
-				t.Fatalf("%s diverges from golden at byte %d: got ...%q, want ...%q",
-					mode, i, got[lo:min(i+40, len(got))], want[lo:min(i+40, len(want))])
-			}
-		}
-		t.Fatalf("%s length differs from golden: got %d bytes, want %d", mode, len(got), len(want))
+	if bytes.Equal(memoized, want) {
+		return
 	}
-	compare("memoized run", memoized)
-	compare("-no-ana-memo run", run(true))
+	for i := 0; i < min(len(memoized), len(want)); i++ {
+		if memoized[i] != want[i] {
+			lo := max(i-40, 0)
+			t.Fatalf("memoized run diverges from golden at byte %d: got ...%q, want ...%q",
+				i, memoized[lo:min(i+40, len(memoized))], want[lo:min(i+40, len(want))])
+		}
+	}
+	t.Fatalf("memoized run length differs from golden: got %d bytes, want %d", len(memoized), len(want))
 }
 
-// TestAnalysisMemoMatchesUnmemoized cross-checks the two paths directly
-// (independent of the committed golden) across partition shapes,
+// TestAnalysisMemoMatchesUnmemoized pins three partition shapes,
 // including AnaRanks > SimRanks where some analysis ranks consume no
-// frames at all.
+// frames at all, to the digests of their rendered results. The digests
+// were recorded when each analysis rank could still run its own kernels
+// in place, and that per-rank path and the memoized replay both gave
+// exactly these bytes.
 func TestAnalysisMemoMatchesUnmemoized(t *testing.T) {
-	shapes := []struct{ sim, ana int }{{4, 2}, {3, 4}, {5, 3}}
+	shapes := []struct {
+		sim, ana int
+		want     string
+	}{
+		{4, 2, "60e71438bef105108a17d0d67cb29d7ca2ac107061606bab7208297e729d219f"},
+		{3, 4, "2d06b7999b29110aadc3e92501453eeb30ee2bda77b4b74c148fa0886a7f770b"},
+		{5, 3, "6b532b2c7ace89605f37a40f3c413cbf00fc511fa47e5923e215fa06c0476492"},
+	}
 	for _, sh := range shapes {
 		t.Run(fmt.Sprintf("sim=%d_ana=%d", sh.sim, sh.ana), func(t *testing.T) {
-			run := func(noMemo bool) []byte {
-				// Each run gets a fresh config (and in particular a fresh
-				// policy: SeeSAw keeps window history across allocations).
-				cfg := goldenConfig()
-				cfg.SimRanks = sh.sim
-				cfg.AnaRanks = sh.ana
-				cfg.Faults = nil
-				n := sh.sim + sh.ana
-				cfg.Constraints = core.Constraints{Budget: units.Watts(110 * n), MinCap: 98, MaxCap: 215}
-				cfg.Policy = core.MustNewSeeSAw(core.SeeSAwConfig{Constraints: cfg.Constraints, Window: 2})
-				cfg.NoAnaMemo = noMemo
-				res, err := Run(context.Background(), cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return renderGolden(res)
+			cfg := goldenConfig()
+			cfg.SimRanks = sh.sim
+			cfg.AnaRanks = sh.ana
+			cfg.Faults = nil
+			n := sh.sim + sh.ana
+			cfg.Constraints = core.Constraints{Budget: units.Watts(110 * n), MinCap: 98, MaxCap: 215}
+			cfg.Policy = core.MustNewSeeSAw(core.SeeSAwConfig{Constraints: cfg.Constraints, Window: 2})
+			res, err := Run(context.Background(), cfg)
+			if err != nil {
+				t.Fatal(err)
 			}
-			memo, plain := run(false), run(true)
-			if !bytes.Equal(memo, plain) {
-				lm := bytes.Split(memo, []byte("\n"))
-				lp := bytes.Split(plain, []byte("\n"))
-				for i := 0; i < len(lm) && i < len(lp); i++ {
-					if !bytes.Equal(lm[i], lp[i]) {
-						t.Fatalf("memoized and unmemoized runs differ at line %d:\nmemo:  %.200s\nplain: %.200s", i, lm[i], lp[i])
-					}
-				}
-				t.Fatalf("memoized and unmemoized runs differ in length: %d vs %d lines", len(lm), len(lp))
+			if got := fmt.Sprintf("%x", sha256.Sum256(renderGolden(res))); got != sh.want {
+				t.Errorf("digest = %s, want %s", got, sh.want)
 			}
 		})
 	}

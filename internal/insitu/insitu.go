@@ -31,7 +31,6 @@ import (
 	"sort"
 	"sync"
 
-	"seesaw/internal/analysis"
 	"seesaw/internal/core"
 	"seesaw/internal/fault"
 	"seesaw/internal/lammps"
@@ -107,11 +106,6 @@ type Config struct {
 	ClassRegistry map[string]machine.Class
 	// Cost is the communication cost model (DefaultCost if zero).
 	Cost mpi.CostModel
-	// NoAnaMemo disables the analysis-side memoization (see anatrace.go)
-	// and runs every analysis rank's kernels in place, as the seed did.
-	// Escape hatch for A/B validation; results are byte-identical either
-	// way (the golden test pins this).
-	NoAnaMemo bool
 	// Telemetry, when non-nil, receives metrics and structured events
 	// from every rank: RAPL cap writes and throttling, collective
 	// rendezvous waits (via the mpi runtime), synchronization barriers
@@ -347,9 +341,9 @@ type jobTables struct {
 	// trace is the job's mini-MD trajectory, integrated once and
 	// replayed by every simulation rank (see simTrace).
 	trace *simTrace
-	// ana is the analysis-side compute recording, integrated once per
+	// anaTr is the analysis-side compute recording, integrated once per
 	// distinct source count and replayed by every analysis rank (see
-	// anaTrace); nil when Config.NoAnaMemo is set.
+	// anaTrace).
 	anaTr *anaTrace
 }
 
@@ -382,13 +376,11 @@ func newJobTables(ctx context.Context, cfg *Config, syncSchedule []int) (*jobTab
 		return nil, err
 	}
 	t.trace = tr
-	if !cfg.NoAnaMemo {
-		at, err := recordAnaTrace(ctx, cfg, syncSchedule, t.sources, tr)
-		if err != nil {
-			return nil, err
-		}
-		t.anaTr = at
+	at, err := recordAnaTrace(ctx, cfg, syncSchedule, t.sources, tr)
+	if err != nil {
+		return nil, err
 	}
+	t.anaTr = at
 	return t, nil
 }
 
@@ -417,19 +409,14 @@ func runSimRank(rc *workflow.RankCtx, cfg *Config, tables *jobTables, res *Resul
 			mgr.PowerAlloc()
 
 			// Step 2: ship coordinates and velocities to the analysis
-			// partition. With the analysis side memoized the receiver only
+			// partition. The analysis side replays its recording and only
 			// reads the frame, so every rank ships the shared recorded
-			// snapshot instead of cloning ~frameBytes per send; the legacy
-			// in-place path consumes frames and keeps its own copies.
-			// Under an in-transit topology StageTransfer first pays the
-			// staging hop on this rank's clock.
+			// snapshot instead of cloning ~frameBytes per send. Under an
+			// in-transit topology StageTransfer first pays the staging hop
+			// on this rank's clock.
 			runWork(r, node, cfg, phases.sync, lammps.WorkCount{Ops: float64(tr.n) * 6, Bytes: tr.frameBytes})
 			rc.StageTransfer(0, syncIdx)
-			if cfg.NoAnaMemo {
-				r.Send(dst, tagFrame, st.cloneFrame(), tr.frameBytes)
-			} else {
-				r.Send(dst, tagFrame, st.frame, tr.frameBytes)
-			}
+			r.Send(dst, tagFrame, st.frame, tr.frameBytes)
 
 			// Step 3: rebuild a subset of data structures.
 			runWork(r, node, cfg, phases.rebuild, lammps.WorkCount{Ops: float64(tr.n) * 4})
@@ -469,37 +456,20 @@ func runSimRank(rc *workflow.RankCtx, cfg *Config, tables *jobTables, res *Resul
 // recordAnaTrace; each rank replays its shape's recording (identical
 // work counts and result vectors on every rank of that shape) and
 // spends its time in the parts that do differ per rank: virtual-time
-// phases, power allocation, faults and communication. With
-// Config.NoAnaMemo the rank instead runs its own kernels in place, as
-// the seed did; the golden test pins both paths to identical bytes.
+// phases, power allocation, faults and communication.
 func runAnaRank(rc *workflow.RankCtx, cfg *Config, tables *jobTables, syncSchedule []int,
 	res *Result, mu *sync.Mutex) {
 
 	r, anaComm, node := rc.Rank, rc.Part, rc.Node
 	mgr := rc.Mgr
 	at := tables.anaTr
-	// Legacy in-place path: instantiate this rank's own analyses.
-	var tasks []analysis.Analysis
-	if at == nil {
-		tasks = make([]analysis.Analysis, 0, len(cfg.Analyses))
-		for _, name := range cfg.Analyses {
-			a, err := analysis.New(name)
-			if err != nil {
-				panic(err)
-			}
-			tasks = append(tasks, a)
-		}
-	}
 
 	// Which simulation ranks feed this analysis rank?
 	sources := tables.sources[r.WorldRank()-cfg.SimRanks]
 	phases := &tables.ana
-	var rec *anaRecording
-	if at != nil {
-		rec = at.recordings[len(sources)]
-	}
+	rec := at.recordings[len(sources)]
 
-	for si, step := range syncSchedule {
+	for si := range syncSchedule {
 		rc.ApplyFaults(si + 1)
 		// Power allocation immediately before the synchronization.
 		mgr.PowerAlloc()
@@ -529,35 +499,17 @@ func runAnaRank(rc *workflow.RankCtx, cfg *Config, tables *jobTables, syncSchedu
 			runWork(r, node, cfg, phases.neighbor, lammps.WorkCount{Ops: float64(len(frame.Pos)) * 2})
 
 			// Step 7: the analyses due at this step run in sequence.
-			if at != nil {
-				for _, ti := range at.due[si] {
-					spec := &at.specs[ti]
-					w := rec.work[si][flat]
-					flat++
-					nominal := units.Seconds(w.Ops*spec.prof.SecondsPerOp + float64(w.Bytes)*bytesSecPerByte)
-					runPhase(r, node, cfg, machine.Phase{
-						Name:        spec.name,
-						Nominal:     nominal,
-						Demand:      spec.prof.Demand,
-						Saturation:  spec.prof.Saturation,
-						Sensitivity: spec.prof.Sensitivity,
-					})
-				}
-				continue
-			}
-			for _, t := range tasks {
-				if step%cfg.analysisInterval(t.Name()) != 0 {
-					continue
-				}
-				w := t.Consume(frame)
-				p := t.Profile()
-				nominal := units.Seconds(w.Ops*p.SecondsPerOp + float64(w.Bytes)*bytesSecPerByte)
+			for _, ti := range at.due[si] {
+				spec := &at.specs[ti]
+				w := rec.work[si][flat]
+				flat++
+				nominal := units.Seconds(w.Ops*spec.prof.SecondsPerOp + float64(w.Bytes)*bytesSecPerByte)
 				runPhase(r, node, cfg, machine.Phase{
-					Name:        t.Name(),
+					Name:        spec.name,
 					Nominal:     nominal,
-					Demand:      p.Demand,
-					Saturation:  p.Saturation,
-					Sensitivity: p.Sensitivity,
+					Demand:      spec.prof.Demand,
+					Saturation:  spec.prof.Saturation,
+					Sensitivity: spec.prof.Sensitivity,
 				})
 			}
 		}
@@ -565,14 +517,8 @@ func runAnaRank(rc *workflow.RankCtx, cfg *Config, tables *jobTables, syncSchedu
 
 	if anaComm.Rank() == 0 {
 		mu.Lock()
-		if at != nil {
-			for name, v := range rec.results {
-				res.AnalysisResults[name] = v
-			}
-		} else {
-			for _, t := range tasks {
-				res.AnalysisResults[t.Name()] = t.Result()
-			}
+		for name, v := range rec.results {
+			res.AnalysisResults[name] = v
 		}
 		mu.Unlock()
 	}

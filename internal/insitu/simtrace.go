@@ -74,15 +74,3 @@ func recordSimTrace(ctx context.Context, cfg *Config, syncSet map[int]bool) (*si
 	tr.finalEnergy = sys.TotalEnergy()
 	return tr, nil
 }
-
-// cloneFrame returns a fresh copy of the step's recorded frame,
-// equivalent to the per-rank Snapshot it replaces: each analysis rank
-// still receives its own frame object per source.
-func (st *simStepTrace) cloneFrame() *lammps.Frame {
-	f := *st.frame
-	f.Pos = append([]lammps.Vec3(nil), st.frame.Pos...)
-	f.Unwrp = append([]lammps.Vec3(nil), st.frame.Unwrp...)
-	f.Vel = append([]lammps.Vec3(nil), st.frame.Vel...)
-	f.Typ = append([]int(nil), st.frame.Typ...)
-	return &f
-}

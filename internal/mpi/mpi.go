@@ -1,7 +1,7 @@
 // Package mpi is an in-process message-passing runtime with virtual
 // time, standing in for MPI in the paper's software stack. Ranks are
 // goroutines; communicators, sub-communicators (Split), collectives
-// (Barrier, Allreduce, Bcast, Gather, Allgather) and tagged point-to-point
+// (Barrier, Allreduce, Bcast, Allgather) and tagged point-to-point
 // messages are supported.
 //
 // # Virtual time
@@ -24,23 +24,21 @@
 //
 // # Scale
 //
-// The runtime is built to stay tractable at 4096+ ranks (see DESIGN.md,
-// "Scaling the substrate"). Collectives use a generation-gated, sharded
-// rendezvous: arrivals are lock-free (each member writes its own scratch
-// slot and decrements an atomic counter), the last arriver reduces and
-// publishes, and waiters park on a plain channel receive — never a
-// select, whose per-case lock on a shared cancellation channel would
-// serialize every park and wake through one lock. Large groups arrive in
-// ~sqrt(k) shards: members decrement a per-shard counter and park on a
-// per-shard gate; the last member of a shard becomes its leader,
-// decrements the group counter and parks at the root; the completing
-// rank releases the root, and the woken leaders fan the release out one
-// shard gate each, in parallel. The float64 reductions the power stack
-// issues on every synchronization take a typed fast path with no
-// interface boxing and a single result copy per rank. Mailboxes index
-// messages by (source, tag), so a receive matches in O(1) regardless of
-// backlog and a send wakes at most the one receiver waiting on that
-// pair.
+// The runtime is built to stay tractable at thousands of ranks (see
+// DESIGN.md, "Scaling the substrate"). Every collective, whatever its
+// group's size, meets at one rendezvous: members arrive under the
+// group's mutex, folding the op name, payload size and clock as they
+// come and leaving their input in their own slot; the last arriver
+// reduces in rank order, publishes a fresh per-generation state and
+// opens its gate. The other members park on that gate with a plain
+// channel receive — never a select, whose per-case lock on a shared
+// cancellation channel would serialize every park and wake through one
+// lock — and read the result after they wake without taking the group
+// lock again. The float64 reductions the power stack issues on every
+// synchronization take a typed path with no interface boxing and a
+// single result copy per rank. Mailboxes index messages by (source,
+// tag), so a receive matches in O(1) regardless of backlog and a send
+// wakes at most the one receiver waiting on that pair.
 package mpi
 
 import (
@@ -48,7 +46,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/bits"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -127,7 +124,7 @@ func (rt *Runtime) isCancelled() bool { return rt.cancelled.Load() }
 
 // doCancel marks the runtime cancelled and wakes every goroutine blocked
 // on a mailbox or a collective rendezvous. The flag is set first; then
-// every rank's parked gate (published by arrive just before it blocks)
+// every rank's parked gate (published by park just before it blocks)
 // is force-opened — a CAS per gate arbitrates with a concurrently
 // completing collective — and every mailbox receives a wake token. A
 // rank rechecks the flag after publishing its gate and after every
@@ -155,16 +152,6 @@ func (rt *Runtime) doCancel(err error) {
 	for _, r := range rt.ranks {
 		if g := r.parked.Load(); g != nil {
 			g.release()
-		}
-		if g := r.condG.Load(); g != nil {
-			// The waiter publishes condG while holding g.mu and only
-			// then enqueues on the cond (Wait enqueues before releasing
-			// the lock), so taking the lock here orders this broadcast
-			// after the enqueue: either the waiter is woken, or its
-			// pre-wait flag recheck already saw cancelled.
-			g.mu.Lock()
-			g.cond.Broadcast()
-			g.mu.Unlock()
 		}
 	}
 	for _, mb := range rt.mail {
@@ -252,12 +239,6 @@ type Rank struct {
 	// pointer is per-rank, so the two stores bracketing a park never
 	// contend.
 	parked atomic.Pointer[gate]
-
-	// condG publishes the group whose condition variable this rank is
-	// waiting on (the unsharded rendezvous path), so doCancel can
-	// broadcast it — the cond-path analogue of parked, keeping
-	// cancellation registry-free.
-	condG atomic.Pointer[group]
 }
 
 // Run executes body on n concurrent ranks and blocks until all return.
@@ -267,18 +248,13 @@ func Run(n int, cost CostModel, body func(r *Rank)) error {
 	return RunContext(context.Background(), n, cost, nil, body)
 }
 
-// RunWithTelemetry is Run with a telemetry hub attached to the runtime:
-// collective rendezvous waits and point-to-point message counts are
-// reported to it. A nil hub is equivalent to Run.
-func RunWithTelemetry(n int, cost CostModel, tel *telemetry.Hub, body func(r *Rank)) error {
-	return RunContext(context.Background(), n, cost, tel, body)
-}
-
-// RunContext is RunWithTelemetry under a context: when ctx is cancelled,
-// ranks blocked in Recv or a collective unwind promptly (via an internal
-// sentinel panic the runtime recognizes), ranks doing local work abort
-// at their next communication, and RunContext returns ctx.Err(). A rank
-// panic unrelated to cancellation still wins over the context error.
+// RunContext is Run under a context and with an optional telemetry hub,
+// to which collective rendezvous waits and point-to-point message counts
+// are reported (nil disables it). When ctx is cancelled, ranks blocked
+// in Recv or a collective unwind promptly (via an internal sentinel
+// panic the runtime recognizes), ranks doing local work abort at their
+// next communication, and RunContext returns ctx.Err(). A rank panic
+// unrelated to cancellation still wins over the context error.
 func RunContext(ctx context.Context, n int, cost CostModel, tel *telemetry.Hub, body func(r *Rank)) error {
 	if ctx == nil {
 		ctx = context.Background()
@@ -488,12 +464,13 @@ func (g *gate) release() {
 	}
 }
 
-// rendezvousState is the publication side of one collective generation:
-// the last arriver fills it, sets completed and releases the gates;
-// waiters read it afterwards. A gate released without completed set
+// rendezvousState is one collective generation's publication: the
+// member that completes (or poisons) the generation fills it, sets
+// completed and opens the gate; the parked members read it after they
+// wake, without the group lock. A gate opened without completed set
 // means the run was cancelled mid-collective. A fresh state per
-// generation keeps late readers safe while the group's arrival scratch
-// is already being reused by the next collective.
+// generation keeps a late reader's result intact while the group
+// already collects the next generation.
 type rendezvousState struct {
 	completed atomic.Bool
 	result    any       // untyped collectives
@@ -502,140 +479,39 @@ type rendezvousState struct {
 	// poisoned carries a collective-mismatch or reduce-failure message;
 	// every member panics with it instead of hanging.
 	poisoned string
-
-	// root releases shard leaders (or, in small groups, every member);
-	// shards[i] releases shard i's non-leader members.
-	root   gate
-	shards []gate
-}
-
-// shardCounter is a cache-line-padded arrival counter, one per shard, so
-// concurrent decrements from different shards never bounce a line.
-type shardCounter struct {
-	n atomic.Int64
-	_ [56]byte
+	done     gate
 }
 
 // group is the shared state of a communicator: its members and the
-// rendezvous scratch used by collectives.
+// arrival scratch of the collective in progress.
 //
-// Arrival is lock-free: member i writes only slot i of the scratch
-// arrays and then decrements an atomic counter; the member that observes
-// zero proceeds up the tree, and the atomic counters order every slot
-// write before its reads (the sync.WaitGroup pattern). In groups of
-// 2048+ (shardSizeFor) the counters form a two-level tree of ~sqrt(k)
-// shards: the last arriver of a shard is its leader and decrements the
-// group counter; the last leader is the completer. The completer
-// reduces, publishes into the current rendezvousState, re-arms the group
-// for the next generation and releases the root gate; woken leaders
-// re-arm and release their shard gates in parallel, so neither the
-// arrival CASes nor the wakeup channel locks serialize 4096 ranks
-// through one word.
+// Members arrive under mu. The running fold of op name, bytes and clock
+// spares the completer a scan over per-member arrays; inputs/floats stay
+// per-slot because reduction order is part of the determinism contract.
+// The last arriver reduces and publishes into cur and opens its gate;
+// the others wait on that gate outside the lock, so releasing a group
+// never has its members queue on mu again. poisoned is sticky: a
+// mismatched or panicking collective fails every later arrival too.
 type group struct {
-	// Unsharded groups (shardPending == nil) rendezvous under a plain
-	// mutex + condition variable with a generation counter: below the
-	// sharding threshold the wakeup fan-out fits one broadcast, and
-	// reusing the group as the publication site makes a
-	// small-communicator collective allocation-free (no per-generation
-	// state or gate). The running op/bytes/clock fold replaces the
-	// completer's scan over per-member arrays; inputs/floats stay
-	// per-slot because reduction order is part of the determinism
-	// contract. poisoned is sticky: a mismatched or panicking collective
-	// fails every later arrival too. These fields lead the struct so an
-	// arrival's whole critical section touches the cache lines the lock
-	// acquisition already pulled in.
-	mu           sync.Mutex
-	count        int
-	gen          uint64
-	condOp       string
-	condBytes    int
-	condClock    units.Seconds
-	cond         *sync.Cond
-	inputs       []any
-	floats       [][]float64
-	members      []int // world ids, ordered by rank-in-group
-	condRes      any
-	condFloats   []float64
-	condResClock units.Seconds
-	poisoned     string
-
-	// shardSize is the member count per shard (== len(members) when the
-	// group is too small to shard; shardPending is nil then and pending
-	// counts ranks instead of shards).
-	shardSize    int
-	pending      atomic.Int64
-	shardPending []shardCounter
-
-	ops    []string
-	clocks []units.Seconds
-	bytes  []int
-
-	// cur is the in-progress generation. Only the completer of the
-	// previous generation stores it, before releasing that generation's
-	// gates; doCancel loads it to force the gates open.
-	cur atomic.Pointer[rendezvousState]
-}
-
-// shardSizeFor picks the arrival-tree fan-in for a k-member group:
-// roughly sqrt(k), rounded to a power of two. Below 2048 members the
-// extra tree level costs more than the wakeup fan-out it spreads — a
-// single root gate both arrives and releases faster (measured: the
-// sharded tree was 0.93–0.98x of the seed at 256–1024 ranks, the single
-// gate 1.2–1.3x) — so only the largest groups shard.
-func shardSizeFor(k int) int {
-	if k < 2048 {
-		return k
-	}
-	return 1 << ((bits.Len(uint(k-1)) + 1) / 2)
-}
-
-// shardLen returns shard s's member count (the last shard may be short).
-func (g *group) shardLen(s int) int {
-	lo := s * g.shardSize
-	hi := lo + g.shardSize
-	if hi > len(g.members) {
-		hi = len(g.members)
-	}
-	return hi - lo
-}
-
-// newState allocates the next generation's gates matching the group's
-// shard layout.
-func (g *group) newState() *rendezvousState {
-	st := &rendezvousState{root: newGate()}
-	if n := len(g.shardPending); n > 0 {
-		st.shards = make([]gate, n)
-		for i := range st.shards {
-			st.shards[i] = newGate()
-		}
-	}
-	return st
+	mu       sync.Mutex
+	count    int
+	op       string
+	bytes    int
+	clock    units.Seconds
+	cur      *rendezvousState
+	inputs   []any
+	floats   [][]float64
+	members  []int // world ids, ordered by rank-in-group
+	poisoned string
 }
 
 func newGroup(members []int) *group {
 	k := len(members)
-	g := &group{
+	return &group{
 		members: members,
 		inputs:  make([]any, k),
 		floats:  make([][]float64, k),
 	}
-	if size := shardSizeFor(k); size < k {
-		g.ops = make([]string, k)
-		g.clocks = make([]units.Seconds, k)
-		g.bytes = make([]int, k)
-		g.shardSize = size
-		ns := (k + size - 1) / size
-		g.shardPending = make([]shardCounter, ns)
-		for s := range g.shardPending {
-			g.shardPending[s].n.Store(int64(g.shardLen(s)))
-		}
-		g.pending.Store(int64(ns))
-		g.cur.Store(g.newState())
-	} else {
-		g.shardSize = k
-		g.cond = sync.NewCond(&g.mu)
-	}
-	return g
 }
 
 // Comm is a per-rank handle to a communicator.
@@ -651,62 +527,14 @@ func (c *Comm) Rank() int { return c.myRank }
 // Size returns the communicator's member count.
 func (c *Comm) Size() int { return len(c.group.members) }
 
-// WorldRankOf translates a rank in this communicator to a world rank.
-func (c *Comm) WorldRankOf(rank int) int { return c.group.members[rank] }
-
-// arrive contributes one member's (opName, payload, clock) to the
-// current collective generation and blocks until the last arriver
-// publishes, returning that generation's state. Exactly one of
-// input/reduce (untyped) or fvals/freduce (typed float64) is used.
-func (c *Comm) arrive(opName string, bytes int, input any, fvals []float64,
+// join contributes one member's (opName, payload, clock) to the group's
+// current collective, blocks until the generation completes, advances
+// the rank's clock to the merged clock, reports the rendezvous wait and
+// returns the generation's state. The first arriver allocates a fresh
+// state; the last one reduces and publishes it. Exactly one of input/reduce
+// (untyped) or fvals/freduce (typed float64) is used.
+func (c *Comm) join(opName string, bytes int, input any, fvals []float64,
 	reduce func([]any) any, freduce func([][]float64) []float64) *rendezvousState {
-
-	g := c.group
-	rt := c.rank.rt
-	if rt.isCancelled() {
-		panic(errCanceled)
-	}
-	st := g.cur.Load()
-	me := c.myRank
-	g.ops[me] = opName
-	g.bytes[me] = bytes
-	g.clocks[me] = c.rank.clock
-	g.inputs[me] = input
-	g.floats[me] = fvals
-
-	s := me / g.shardSize
-	if g.shardPending[s].n.Add(-1) > 0 {
-		c.rank.park(&st.shards[s], st)
-	} else if g.pending.Add(-1) > 0 {
-		// Shard leader: park at the root, then re-arm this shard's
-		// counter and fan the release out through its own gate, so the
-		// wakeup storm is spread over ~sqrt(k) channel locks instead of
-		// serializing every waiter through one.
-		c.rank.park(&st.root, st)
-		g.shardPending[s].n.Store(int64(g.shardLen(s)))
-		st.shards[s].release()
-	} else {
-		c.complete(st, reduce, freduce)
-		g.shardPending[s].n.Store(int64(g.shardLen(s)))
-		st.shards[s].release()
-	}
-	if st.poisoned != "" {
-		panic(st.poisoned)
-	}
-	return st
-}
-
-// arriveCond is the unsharded rendezvous: deposit under the group lock,
-// fold the op/bytes/clock on the way in, and either complete (last
-// arriver) or wait on the condition variable for the generation to
-// advance. It also applies the merged clock and reports the rendezvous
-// wait (the cond path's finish), so a collective costs one call frame.
-// The returned result and floats are read out under the lock and stay
-// valid after it is released, because the next generation cannot
-// complete until this rank arrives again; a collective on a small
-// communicator therefore allocates nothing per generation.
-func (c *Comm) arriveCond(opName string, bytes int, input any, fvals []float64,
-	reduce func([]any) any, freduce func([][]float64) []float64) (any, []float64) {
 
 	g := c.group
 	r := c.rank
@@ -722,23 +550,30 @@ func (c *Comm) arriveCond(opName string, bytes int, input any, fvals []float64,
 		g.mu.Unlock()
 		panic(msg)
 	}
+	st := g.cur
 	if g.count == 0 {
-		g.condOp = opName
-		g.condBytes = bytes
-		g.condClock = r.clock
+		st = &rendezvousState{done: newGate()}
+		g.cur = st
+		g.op = opName
+		g.bytes = bytes
+		g.clock = r.clock
 	} else {
-		if g.condOp != opName {
-			msg := fmt.Sprintf("mpi: collective mismatch on communicator: %q vs %q", g.condOp, opName)
+		if g.op != opName {
+			// Fail the members already parked on this generation, and
+			// every later arrival, instead of leaving them to hang.
+			msg := fmt.Sprintf("mpi: collective mismatch on communicator: %q vs %q", g.op, opName)
 			g.poisoned = msg
-			g.cond.Broadcast()
+			st.poisoned = msg
 			g.mu.Unlock()
+			st.completed.Store(true)
+			st.done.release()
 			panic(msg)
 		}
-		if bytes > g.condBytes {
-			g.condBytes = bytes
+		if bytes > g.bytes {
+			g.bytes = bytes
 		}
-		if r.clock > g.condClock {
-			g.condClock = r.clock
+		if r.clock > g.clock {
+			g.clock = r.clock
 		}
 	}
 	if freduce != nil {
@@ -747,134 +582,19 @@ func (c *Comm) arriveCond(opName string, bytes int, input any, fvals []float64,
 		g.inputs[c.myRank] = input
 	}
 	g.count++
-	if g.count == k {
-		g.condResClock = g.condClock + rt.cost.CollectiveCost(k, g.condBytes)
-		// A panicking reduce (malformed collective arguments) must poison
-		// the group so waiters abort instead of hanging.
-		func() {
-			defer func() {
-				if rec := recover(); rec != nil {
-					g.poisoned = fmt.Sprint(rec)
-				}
-			}()
-			if freduce != nil {
-				g.condFloats = freduce(g.floats[:k])
-			} else {
-				g.condRes = reduce(g.inputs[:k])
-			}
-		}()
+	if g.count < k {
+		g.mu.Unlock()
+		r.park(st)
+	} else {
 		g.count = 0
-		g.gen++
-		res, fl, clk := g.condRes, g.condFloats, g.condResClock
-		poison := g.poisoned
-		g.cond.Broadcast()
-		g.mu.Unlock()
-		if poison != "" {
-			panic(poison)
-		}
-		c.condFinish(opName, entryClock, clk)
-		return res, fl
-	}
-	myGen := g.gen
-	// Publish the wait target for doCancel, then recheck the flag: the
-	// store and the load are both sequentially consistent, so either the
-	// cancel walk sees the pointer (and its broadcast, taken under g.mu,
-	// lands after Wait has enqueued this goroutine), or this recheck
-	// sees the flag and unwinds instead of waiting. The pointer is left
-	// published after the wait — a stale broadcast wakes nobody — so the
-	// common case of re-waiting on the same group skips both stores.
-	if r.condG.Load() != g {
-		r.condG.Store(g)
-	}
-	for g.gen == myGen && g.poisoned == "" && !rt.isCancelled() {
-		g.cond.Wait()
-	}
-	if g.poisoned != "" {
-		msg := g.poisoned
-		g.mu.Unlock()
-		panic(msg)
-	}
-	if g.gen == myGen {
-		// Cancelled before the generation completed.
-		g.mu.Unlock()
-		panic(errCanceled)
-	}
-	res, fl, clk := g.condRes, g.condFloats, g.condResClock
-	g.mu.Unlock()
-	c.condFinish(opName, entryClock, clk)
-	return res, fl
-}
-
-// condFinish applies a completed cond-path collective's merged clock and
-// reports the rendezvous wait, inline-cheap when telemetry is off.
-func (c *Comm) condFinish(opName string, entryClock, resClock units.Seconds) {
-	r := c.rank
-	if resClock > r.clock {
-		r.clock = resClock
-	}
-	if r.rt.tel != nil {
-		if wait := r.clock - entryClock; wait > 0 {
-			if m := r.rt.waitMetric(opName); m != nil {
-				m.Observe(float64(wait))
-			}
-		}
-	}
-}
-
-// park publishes the gate this rank is about to block on, rechecks the
-// cancellation flag, blocks, and verifies the generation genuinely
-// completed. The recheck after the store is what closes the
-// check-then-park window: if doCancel's walk ran before the store, its
-// flag store is seq-cst-before this load and the rank unwinds instead
-// of parking on a gate nobody will open; otherwise the walk sees the
-// pointer and opens the gate. A gate opened by cancellation rather than
-// by a completing collective leaves completed unset, and the rank
-// unwinds then too.
-func (r *Rank) park(g *gate, st *rendezvousState) {
-	r.parked.Store(g)
-	if r.rt.isCancelled() {
-		r.parked.Store(nil)
-		panic(errCanceled)
-	}
-	<-g.ch
-	r.parked.Store(nil)
-	if !st.completed.Load() {
-		panic(errCanceled)
-	}
-}
-
-// complete is the completer's half of the rendezvous: verify the SPMD
-// op discipline, merge clocks, charge the modeled cost, reduce, re-arm
-// the group scratch for the next generation and release the root gate.
-// (The caller releases the completer's own shard, if any.)
-func (c *Comm) complete(st *rendezvousState, reduce func([]any) any, freduce func([][]float64) []float64) {
-	g := c.group
-	k := len(g.members)
-	op := g.ops[0]
-	for i := 1; i < k; i++ {
-		if g.ops[i] != op {
-			st.poisoned = fmt.Sprintf("mpi: collective mismatch on communicator: %q vs %q", op, g.ops[i])
-			break
-		}
-	}
-	var maxClock units.Seconds
-	maxBytes := 0
-	for i := 0; i < k; i++ {
-		if g.clocks[i] > maxClock {
-			maxClock = g.clocks[i]
-		}
-		if g.bytes[i] > maxBytes {
-			maxBytes = g.bytes[i]
-		}
-	}
-	st.resClock = maxClock + c.rank.rt.cost.CollectiveCost(k, maxBytes)
-	if st.poisoned == "" {
+		st.resClock = g.clock + rt.cost.CollectiveCost(k, g.bytes)
 		// A panicking reduce (malformed collective arguments) must poison
 		// the group so waiters abort instead of hanging.
 		func() {
 			defer func() {
 				if rec := recover(); rec != nil {
 					st.poisoned = fmt.Sprint(rec)
+					g.poisoned = st.poisoned
 				}
 			}()
 			if freduce != nil {
@@ -883,36 +603,45 @@ func (c *Comm) complete(st *rendezvousState, reduce func([]any) any, freduce fun
 				st.result = reduce(g.inputs[:k])
 			}
 		}()
+		g.mu.Unlock()
+		st.completed.Store(true)
+		st.done.release()
 	}
-	// Re-arm before the release: woken members may immediately start the
-	// next collective on this group, and they must find a fresh state and
-	// a full pending count. The gate release orders these writes before
-	// any waiter's next arrival. (Shard counters are re-armed by each
-	// shard's leader before it releases that shard.)
-	g.cur.Store(g.newState())
-	if g.shardPending != nil {
-		g.pending.Store(int64(len(g.shardPending)))
-	} else {
-		g.pending.Store(int64(k))
+	if st.poisoned != "" {
+		panic(st.poisoned)
 	}
-	st.completed.Store(true)
-	st.root.release()
-}
-
-// finish applies a completed collective's clock to the rank and reports
-// the rendezvous wait, returning when the rank owns the merged clock.
-func (c *Comm) finish(opName string, resClock units.Seconds) {
-	r := c.rank
-	arrival := r.clock
-	if resClock > r.clock {
-		r.clock = resClock
+	if st.resClock > r.clock {
+		r.clock = st.resClock
 	}
-	if r.rt.tel != nil {
-		if wait := r.clock - arrival; wait > 0 {
-			if m := r.rt.waitMetric(opName); m != nil {
+	if rt.tel != nil {
+		if wait := r.clock - entryClock; wait > 0 {
+			if m := rt.waitMetric(opName); m != nil {
 				m.Observe(float64(wait))
 			}
 		}
+	}
+	return st
+}
+
+// park publishes the generation's gate this rank is about to block on,
+// rechecks the cancellation flag, blocks, and verifies the generation
+// was genuinely published. The recheck after the store is what closes
+// the check-then-park window: if doCancel's walk ran before the store,
+// its flag store is seq-cst-before this load and the rank unwinds
+// instead of parking on a gate nobody will open; otherwise the walk sees
+// the pointer and opens the gate. A gate opened by cancellation rather
+// than by the completing member leaves completed unset, and the rank
+// unwinds then too.
+func (r *Rank) park(st *rendezvousState) {
+	r.parked.Store(&st.done)
+	if r.rt.isCancelled() {
+		r.parked.Store(nil)
+		panic(errCanceled)
+	}
+	<-st.done.ch
+	r.parked.Store(nil)
+	if !st.completed.Load() {
+		panic(errCanceled)
 	}
 }
 
@@ -928,16 +657,10 @@ func (c *Comm) rendezvous(opName string, input any, bytes int, reduce func(input
 		}
 		return reduce([]any{input})
 	}
-	if c.group.shardPending == nil {
-		res, _ := c.arriveCond(opName, bytes, input, nil, reduce, nil)
-		return res
-	}
-	st := c.arrive(opName, bytes, input, nil, reduce, nil)
-	c.finish(opName, st.resClock)
-	return st.result
+	return c.join(opName, bytes, input, nil, reduce, nil).result
 }
 
-// rendezvousFloats is the typed fast path for the float64 reductions the
+// rendezvousFloats is the typed path for the float64 reductions the
 // power stack issues on every synchronization: no interface boxing, no
 // defensive input copy (the contributing slice is only read before the
 // generation completes, while its owner is still blocked), and a single
@@ -949,14 +672,7 @@ func (c *Comm) rendezvousFloats(opName string, vals []float64, freduce func([][]
 		}
 		return freduce([][]float64{vals})
 	}
-	if c.group.shardPending == nil {
-		_, fl := c.arriveCond(opName, 8*len(vals), nil, vals, nil, freduce)
-		return append([]float64(nil), fl...)
-	}
-	st := c.arrive(opName, 8*len(vals), nil, vals, nil, freduce)
-	out := append([]float64(nil), st.floats...)
-	c.finish(opName, st.resClock)
-	return out
+	return append([]float64(nil), c.join(opName, 8*len(vals), nil, vals, nil, freduce).floats...)
 }
 
 // sumFloats element-wise sums the members' slices in rank order (the
@@ -990,22 +706,6 @@ func maxFloats(inputs [][]float64) []float64 {
 	return out
 }
 
-// minFloats element-wise mins the members' slices.
-func minFloats(inputs [][]float64) []float64 {
-	out := append([]float64(nil), inputs[0]...)
-	for _, xs := range inputs[1:] {
-		if len(xs) != len(out) {
-			panic("mpi: allreduce length mismatch")
-		}
-		for i, x := range xs {
-			if x < out[i] {
-				out[i] = x
-			}
-		}
-	}
-	return out
-}
-
 // Barrier blocks until all members arrive; all leave at the merged
 // clock plus the collective cost.
 func (c *Comm) Barrier() {
@@ -1021,11 +721,6 @@ func (c *Comm) AllreduceSum(vals []float64) []float64 {
 // AllreduceMax element-wise maxes float64 slices across members.
 func (c *Comm) AllreduceMax(vals []float64) []float64 {
 	return c.rendezvousFloats("allreduce-max", vals, maxFloats)
-}
-
-// AllreduceMin element-wise mins float64 slices across members.
-func (c *Comm) AllreduceMin(vals []float64) []float64 {
-	return c.rendezvousFloats("allreduce-min", vals, minFloats)
 }
 
 // Bcast distributes root's payload (of modeled size bytes) to all
@@ -1045,19 +740,6 @@ func (c *Comm) Allgather(payload any, bytes int) []any {
 	res := c.rendezvous("allgather", payload, bytes*c.Size(), func(inputs []any) any {
 		return append([]any(nil), inputs...)
 	})
-	return res.([]any)
-}
-
-// Gather collects payloads at root; root receives the full slice, other
-// ranks receive nil. (All ranks still synchronize, matching MPI_Gather's
-// completion semantics under the conservative clock model.)
-func (c *Comm) Gather(root int, payload any, bytes int) []any {
-	res := c.rendezvous("gather", payload, bytes, func(inputs []any) any {
-		return append([]any(nil), inputs...)
-	})
-	if c.myRank != root {
-		return nil
-	}
 	return res.([]any)
 }
 

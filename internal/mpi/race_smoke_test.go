@@ -4,48 +4,91 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 )
 
-// The scale smokes run at two sizes because the rendezvous has two
-// paths: groups below shardSizeFor's threshold (2048 members) arrive
-// through one mutex+cond gate, larger groups through the lock-free
-// sharded arrival tree. At 1024 ranks every group takes the cond path;
-// at 2048 the world group takes the tree. Under -race (make check runs
-// the package that way) the 2048-rank runs are the memory-model audit
-// of the sharded rendezvous — lock-free scratch writes, counter
-// cascades, gate releases and their cancellation.
+// The scale smokes drive the one rendezvous at the paper's largest
+// partition (1024 ranks) and past it (2048): every group, whatever its
+// size, arrives under its mutex and parks on a per-generation gate.
+// Under -race (make check runs the package that way, and CI repeats it
+// at GOMAXPROCS=4) they are the memory-model audit of that rendezvous
+// at full scale — slot writes under the lock, the state published
+// before the gate opens and read after it, the poison that fails parked
+// members, and the gate walk that cancellation force-opens.
 
-// TestScaleSmoke1024 drives the substrate surface at 1024 ranks, where
-// every group takes the mutex+cond rendezvous.
+// TestScaleSmoke1024 drives the substrate surface at 1024 ranks.
 func TestScaleSmoke1024(t *testing.T) { scaleSmoke(t, 1024) }
 
-// TestScaleSmoke2048 drives the same surface at 2048 ranks, where the
-// world group's collectives run through the sharded arrival tree.
-func TestScaleSmoke2048(t *testing.T) {
-	requireSharded(t, 2048)
-	scaleSmoke(t, 2048)
-}
+// TestScaleSmoke2048 drives the same surface at 2048 ranks.
+func TestScaleSmoke2048(t *testing.T) { scaleSmoke(t, 2048) }
 
-// TestScaleSmokeCancel1024 cancels a 1024-rank job parked in a
-// mutex+cond barrier.
+// TestScaleSmokeCancel1024 cancels a 1024-rank job parked in a barrier.
 func TestScaleSmokeCancel1024(t *testing.T) { scaleSmokeCancel(t, 1024) }
 
-// TestScaleSmokeCancel2048 cancels a 2048-rank job parked in the
-// sharded barrier: the gate walk must force-open every shard gate.
-func TestScaleSmokeCancel2048(t *testing.T) {
-	requireSharded(t, 2048)
-	scaleSmokeCancel(t, 2048)
+// TestScaleSmokeCancel2048 cancels a 2048-rank job parked in a barrier:
+// the gate walk must force-open every parked member's gate.
+func TestScaleSmokeCancel2048(t *testing.T) { scaleSmokeCancel(t, 2048) }
+
+// TestMismatchFailsParkedMembers: a member arriving with a different
+// collective than the one its peers are parked in fails the whole job
+// with the mismatch, instead of leaving the peers to hang.
+func TestMismatchFailsParkedMembers(t *testing.T) {
+	for _, n := range []int{64, 2048} {
+		t.Run(fmt.Sprintf("ranks=%d", n), func(t *testing.T) {
+			failParked(t, n, "collective mismatch",
+				func(c *Comm) { c.Barrier() },
+				func(c *Comm) { c.AllreduceSum([]float64{1}) })
+		})
+	}
 }
 
-// requireSharded fails when an n-member group no longer takes the
-// sharded path, so a raised threshold cannot silently drop the tree
-// from the audit.
-func requireSharded(t *testing.T, n int) {
-	t.Helper()
-	if shardSizeFor(n) >= n {
-		t.Fatalf("a %d-member group no longer shards; raise the smoke size to cover the arrival tree", n)
+// TestReducePanicFailsParkedMembers: a reduction that panics inside the
+// collective (one member passes a slice of a different length) fails
+// the whole job with the reduction's message.
+func TestReducePanicFailsParkedMembers(t *testing.T) {
+	for _, n := range []int{64, 2048} {
+		t.Run(fmt.Sprintf("ranks=%d", n), func(t *testing.T) {
+			failParked(t, n, "allreduce length mismatch",
+				func(c *Comm) { c.AllreduceSum([]float64{1}) },
+				func(c *Comm) { c.AllreduceSum([]float64{1, 2}) })
+		})
+	}
+}
+
+// failParked runs n ranks on the world communicator: ranks 0..n-2 issue
+// good, and rank n-1 issues bad only once every other rank is parked on
+// the generation's gate. Run must return promptly with rank 0's panic
+// naming the fault, so the parked members failed with it rather than
+// unwinding as cancelled.
+func failParked(t *testing.T, n int, want string, good, bad func(c *Comm)) {
+	if n > 1024 && testing.Short() {
+		t.Skip("scale smoke test")
+	}
+	errc := make(chan error, 1)
+	go func() {
+		errc <- Run(n, DefaultCost(), func(r *Rank) {
+			if r.WorldRank() < n-1 {
+				good(r.World())
+				t.Errorf("rank %d passed a failed collective", r.WorldRank())
+				return
+			}
+			for _, peer := range r.rt.ranks[:n-1] {
+				for peer.parked.Load() == nil {
+					time.Sleep(time.Millisecond)
+				}
+			}
+			bad(r.World())
+		})
+	}()
+	select {
+	case err := <-errc:
+		if err == nil || !strings.HasPrefix(err.Error(), "mpi: rank 0 panicked") || !strings.Contains(err.Error(), want) {
+			t.Fatalf("err = %v, want rank 0 failing with %q", err, want)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("Run did not return after a failed collective: parked members hung")
 	}
 }
 
@@ -71,10 +114,8 @@ func scaleSmoke(t *testing.T, n int) {
 			}
 		}
 
-		// Eight column sub-communicators of n/8 members: below the
-		// sharding threshold, so they rendezvous through the
-		// mutex+cond gate even when the world group is sharded, and
-		// both paths run in one job.
+		// Eight column sub-communicators of n/8 members, rendezvousing
+		// alongside the world group in one job.
 		sub := w.Split(me%8, me)
 		if got := sub.AllreduceSum([]float64{1})[0]; got != float64(n/8) {
 			panic(fmt.Sprintf("sub-communicator allreduce wrong: %v", got))
