@@ -1,7 +1,7 @@
 # Tier-1 gate: everything `make check` runs must stay green.
 GO ?= go
 
-.PHONY: all build check fmt vet staticcheck test race bench-scale-smoke memo-golden-smoke batch-race-smoke fuzz-smoke bench-smoke clean
+.PHONY: all build check fmt vet staticcheck test race bench-scale-smoke memo-golden-smoke cli-smoke batch-race-smoke fuzz-smoke bench-smoke clean
 
 all: build
 
@@ -13,7 +13,7 @@ build:
 # hub and the insitu driver are concurrent by design), a single-
 # iteration pass over the scale benchmarks so they cannot rot, a short
 # run of each fuzz target, and a vet of the benchmark module.
-check: fmt vet staticcheck race bench-scale-smoke memo-golden-smoke batch-race-smoke fuzz-smoke bench-smoke
+check: fmt vet staticcheck race bench-scale-smoke memo-golden-smoke cli-smoke batch-race-smoke fuzz-smoke bench-smoke
 
 fmt:
 	@out="$$(gofmt -l .)"; \
@@ -72,6 +72,31 @@ memo-golden-smoke:
 	fi; \
 	rm -f "$$tmp/seesaw-memo-on.txt" "$$tmp/seesaw-telemetry.txt" "$$tmp/ev.jsonl"; \
 	echo "memo golden smoke ok: memoized and instrumented reports are byte-identical"
+
+# cli-smoke pins two CLI routing rules. `trace -topology space-shared`
+# runs the classic driver, as the default does, so the two print
+# byte-identical CSV. A job file with a topology honours cap_mode: an
+# in-transit job with "long+short" runs, and one with "none" exits
+# non-zero, because the workflow engine always installs caps.
+cli-smoke:
+	@tmp="$${TMPDIR:-/tmp}"; bin="$$tmp/seesawctl-cli-smoke"; \
+	job='{"nodes": 8, "dim": 8, "steps": 6, "analyses": [{"name": "msd1d"}], "topology": "in-transit", "cap_mode": '; \
+	$(GO) build -o "$$bin" ./cmd/seesawctl || exit 1; \
+	"$$bin" trace -nodes 8 -steps 20 > "$$tmp/seesaw-trace-default.csv" || exit 1; \
+	"$$bin" trace -nodes 8 -steps 20 -topology space-shared > "$$tmp/seesaw-trace-space-shared.csv" || exit 1; \
+	if ! cmp -s "$$tmp/seesaw-trace-default.csv" "$$tmp/seesaw-trace-space-shared.csv"; then \
+		echo "trace -topology space-shared diverges from the default driver:"; \
+		diff "$$tmp/seesaw-trace-default.csv" "$$tmp/seesaw-trace-space-shared.csv" | head; exit 1; \
+	fi; \
+	printf '%s"long+short"}\n' "$$job" > "$$tmp/seesaw-job-long-short.json"; \
+	printf '%s"none"}\n' "$$job" > "$$tmp/seesaw-job-none.json"; \
+	"$$bin" job "$$tmp/seesaw-job-long-short.json" || { echo 'in-transit job with cap_mode "long+short" failed'; exit 1; }; \
+	if "$$bin" job "$$tmp/seesaw-job-none.json" > /dev/null 2>&1; then \
+		echo 'in-transit job with cap_mode "none" was accepted'; exit 1; \
+	fi; \
+	rm -f "$$bin" "$$tmp/seesaw-trace-default.csv" "$$tmp/seesaw-trace-space-shared.csv" \
+		"$$tmp/seesaw-job-long-short.json" "$$tmp/seesaw-job-none.json"; \
+	echo "cli smoke ok: trace space-shared matches the default driver; topology jobs honour cap_mode"
 
 # batch-race-smoke runs one 256-node batched grid sweep under the race
 # detector: the per-worker pooled episodes, the shared trace cache and

@@ -288,7 +288,7 @@ func runTrace(ctx context.Context, args []string) int {
 	seed := fs.Uint64("seed", 1, "job seed")
 	faults := fs.String("faults", "", "fault plan, e.g. 'kill:3@40,slow:0@10x2+20' (see internal/fault)")
 	classes := fs.String("classes", "", "device-class map, e.g. '0-63:cpu,64-127:gpu' (presets: "+strings.Join(machine.PresetNames(), ", ")+")")
-	topology := fs.String("topology", "", "workflow topology: space-shared, time-shared, in-transit or dag (default: the classic space-shared driver)")
+	topology := fs.String("topology", "", "workflow topology: space-shared (the default, on the classic driver), or time-shared, in-transit or dag on the workflow-graph engine")
 	telPath := fs.String("telemetry", "", "stream telemetry events to this file as JSON Lines")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -310,7 +310,7 @@ func runTrace(ctx context.Context, args []string) int {
 	} else {
 		tasks = workload.Tasks(strings.Split(*analyses, ",")...)
 	}
-	if *topology != "" {
+	if *topology != "" && *topology != "space-shared" {
 		topo, terr := workflow.Build(*topology, workflow.Params{
 			Nodes: *nodes, Dim: *dim, J: *j, Steps: *steps, Analyses: tasks,
 		})
@@ -424,8 +424,9 @@ usage:
   seesawctl search [-nodes N,..] [-budgets W,..] [-w W,..] [-dims D,..] [-faults P,..] [-classes M;..] [-topologies T,..] [-policies P,..] [-jobs N]
 
 -topology (and the job file's "topology" key) selects the workflow
-placement: space-shared (default), time-shared, in-transit or dag. Any
-value but the default routes the run through the workflow-graph engine
+placement: space-shared (default), time-shared, in-transit or dag.
+space-shared runs on the classic two-partition driver (internal/cosim);
+any other value routes the run through the workflow-graph engine
 (internal/workflow).
 
 -classes (and the job file's "classes" key) assigns device classes to

@@ -1,11 +1,9 @@
-// Additional analyses beyond the paper's five: a velocity-distribution
-// histogram (whose Maxwell-Boltzmann shape doubles as a physics check on
-// the MD engine) and a Composite runner that executes a set of analyses
-// in sequence the way the paper's "all" configuration does.
+// An analysis beyond the paper's five: a velocity-distribution
+// histogram, whose Maxwell-Boltzmann shape doubles as a physics check on
+// the MD engine.
 package analysis
 
 import (
-	"fmt"
 	"math"
 
 	"seesaw/internal/lammps"
@@ -77,85 +75,3 @@ func MaxwellBoltzmannPDF(v, temp float64) float64 {
 	a := math.Pow(1/(2*math.Pi*temp), 1.5)
 	return 4 * math.Pi * v * v * a * math.Exp(-v*v/(2*temp))
 }
-
-// Composite runs several analyses in sequence on every frame, summing
-// their work — the "executed in sequence at each synchronization" of the
-// paper's "all" configuration, packaged as a single Analysis.
-type Composite struct {
-	name  string
-	parts []Analysis
-}
-
-// NewComposite builds a composite from existing analyses.
-func NewComposite(name string, parts ...Analysis) (*Composite, error) {
-	if name == "" {
-		return nil, fmt.Errorf("analysis: composite needs a name")
-	}
-	if len(parts) == 0 {
-		return nil, fmt.Errorf("analysis: composite needs at least one part")
-	}
-	return &Composite{name: name, parts: parts}, nil
-}
-
-// NewAll returns the paper's "all" composite: RDF, MSD1D, MSD2D, full
-// MSD, and VACF in sequence.
-func NewAll() *Composite {
-	c, err := NewComposite("all",
-		NewRDF(64, 0), NewMSD1D(8), NewMSD2D(8), NewMSD(), NewVACF(64))
-	if err != nil {
-		panic(err)
-	}
-	return c
-}
-
-// Name implements Analysis.
-func (c *Composite) Name() string { return c.name }
-
-// Profile implements Analysis: demand/saturation of the heaviest part,
-// cost-weighted sensitivity; SecondsPerOp of 1 because Consume already
-// reports seconds-weighted ops (each part's ops are scaled by its own
-// per-op cost).
-func (c *Composite) Profile() Profile {
-	var p Profile
-	var costSum, sensCost float64
-	for _, part := range c.parts {
-		pp := part.Profile()
-		if pp.Demand > p.Demand {
-			p.Demand = pp.Demand
-		}
-		if pp.Saturation > p.Saturation {
-			p.Saturation = pp.Saturation
-		}
-		costSum += pp.SecondsPerOp
-		sensCost += pp.Sensitivity * pp.SecondsPerOp
-	}
-	if costSum > 0 {
-		p.Sensitivity = sensCost / costSum
-	}
-	p.SecondsPerOp = 1
-	return p
-}
-
-// Consume implements Analysis: runs every part and returns ops already
-// converted to seconds-equivalents (see Profile).
-func (c *Composite) Consume(f *lammps.Frame) lammps.WorkCount {
-	var total lammps.WorkCount
-	for _, part := range c.parts {
-		w := part.Consume(f)
-		total.Ops += w.Ops * part.Profile().SecondsPerOp
-		total.Bytes += w.Bytes
-	}
-	return total
-}
-
-// Result implements Analysis: the concatenation of all parts' results.
-func (c *Composite) Result() []float64 {
-	var out []float64
-	for _, part := range c.parts {
-		out = append(out, part.Result()...)
-	}
-	return out
-}
-
-// Parts exposes the component analyses.
-func (c *Composite) Parts() []Analysis { return append([]Analysis(nil), c.parts...) }

@@ -82,62 +82,3 @@ func TestMaxwellBoltzmannPDF(t *testing.T) {
 		t.Error("MB pdf mode not at sqrt(2T)")
 	}
 }
-
-func TestCompositeValidation(t *testing.T) {
-	if _, err := NewComposite(""); err == nil {
-		t.Error("empty name should fail")
-	}
-	if _, err := NewComposite("x"); err == nil {
-		t.Error("no parts should fail")
-	}
-}
-
-func TestCompositeAll(t *testing.T) {
-	frames := makeFrames(t, 5)
-	all := NewAll()
-	if all.Name() != "all" {
-		t.Errorf("name = %q", all.Name())
-	}
-	if len(all.Parts()) != 5 {
-		t.Errorf("parts = %d", len(all.Parts()))
-	}
-	var w lammps.WorkCount
-	for i := range frames {
-		w = all.Consume(&frames[i])
-	}
-	if w.Ops <= 0 {
-		t.Error("composite reported no work")
-	}
-	if len(all.Result()) == 0 {
-		t.Error("composite has no results")
-	}
-	p := all.Profile()
-	// Heaviest part's demand (MSD: 175) dominates.
-	if p.Demand != 175 {
-		t.Errorf("composite demand = %v, want 175", p.Demand)
-	}
-	if p.SecondsPerOp != 1 {
-		t.Errorf("composite SecondsPerOp = %v, want 1 (ops are pre-weighted)", p.SecondsPerOp)
-	}
-	if p.Sensitivity <= 0 || p.Sensitivity > 1 {
-		t.Errorf("composite sensitivity = %v", p.Sensitivity)
-	}
-}
-
-func TestCompositeWorkMatchesPartsSum(t *testing.T) {
-	frames := makeFrames(t, 1)
-	parts := []Analysis{NewMSD(), NewVACF(8)}
-	comp, err := NewComposite("pair", NewMSD(), NewVACF(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want float64
-	for _, p := range parts {
-		w := p.Consume(&frames[0])
-		want += w.Ops * p.Profile().SecondsPerOp
-	}
-	got := comp.Consume(&frames[0])
-	if math.Abs(got.Ops-want) > 1e-12 {
-		t.Errorf("composite seconds-weighted ops %v != parts sum %v", got.Ops, want)
-	}
-}

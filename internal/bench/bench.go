@@ -19,6 +19,7 @@ import (
 	"seesaw/internal/fault"
 	"seesaw/internal/machine"
 	"seesaw/internal/policy"
+	"seesaw/internal/stats"
 	"seesaw/internal/telemetry"
 	"seesaw/internal/units"
 	"seesaw/internal/workload"
@@ -322,7 +323,7 @@ func (e *enum) paired(keyPrefix string, c cell, runs int, baseSeed uint64) func(
 			imps[r] = improvementPct(bases[r](), p.total)
 			slacks[r] = p.slack
 		}
-		return median(imps), median(slacks)
+		return stats.Median(imps), stats.Median(slacks)
 	}
 }
 
@@ -365,19 +366,6 @@ func improvementPct(base, x units.Seconds) float64 {
 		return 0
 	}
 	return (float64(base) - float64(x)) / float64(base) * 100
-}
-
-func median(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	c := append([]float64(nil), xs...)
-	sort.Float64s(c)
-	n := len(c)
-	if n%2 == 1 {
-		return c[n/2]
-	}
-	return (c[n/2-1] + c[n/2]) / 2
 }
 
 // spec128 builds a 128-node workload.

@@ -106,18 +106,6 @@ func TestImprovementPct(t *testing.T) {
 	}
 }
 
-func TestMedian(t *testing.T) {
-	if median(nil) != 0 {
-		t.Error("empty median")
-	}
-	if median([]float64{3, 1, 2}) != 2 {
-		t.Error("odd median")
-	}
-	if median([]float64{4, 1, 3, 2}) != 2.5 {
-		t.Error("even median")
-	}
-}
-
 func TestSpecHelpers(t *testing.T) {
 	s := spec128(16, 1, 100, nil)
 	if s.SimNodes != 64 || s.AnaNodes != 64 {

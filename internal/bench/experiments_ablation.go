@@ -14,6 +14,7 @@ import (
 	"seesaw/internal/machine"
 	"seesaw/internal/policy"
 	"seesaw/internal/sched"
+	"seesaw/internal/stats"
 	"seesaw/internal/trace"
 	"seesaw/internal/units"
 	"seesaw/internal/workload"
@@ -183,7 +184,7 @@ func runAblWindow(ctx context.Context, o Options, w io.Writer) error {
 		for r, g := range getters[i] {
 			imps[r] = g()
 		}
-		tbl.AddRow(win, fmt.Sprintf("%+.2f%%", median(imps)))
+		tbl.AddRow(win, fmt.Sprintf("%+.2f%%", stats.Median(imps)))
 	}
 	return tbl.Render(w)
 }

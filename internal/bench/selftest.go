@@ -16,7 +16,6 @@ import (
 
 // SelfTestResult is one check's outcome.
 type SelfTestResult struct {
-	Name   string
 	Detail string
 	Pass   bool
 }

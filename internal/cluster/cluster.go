@@ -28,7 +28,6 @@ import (
 	"seesaw/internal/core"
 	"seesaw/internal/fault"
 	"seesaw/internal/machine"
-	"seesaw/internal/rapl"
 	"seesaw/internal/telemetry"
 	"seesaw/internal/units"
 )
@@ -39,25 +38,15 @@ type Config struct {
 	// SimNodes-1 are simulation, the rest analysis (the drivers' rank
 	// layout).
 	SimNodes, AnaNodes int
-	// Rapl is the per-node RAPL hardware model (Theta if zero); with
-	// Classes set it describes the default class (unmapped nodes).
-	Rapl rapl.Config
-	// Machine is the node performance model (DefaultModel if zero);
-	// with Classes set it describes the default class.
-	Machine machine.Model
 	// Noise configures node variability; zero disables noise for the
 	// whole run, including any per-class profiles.
 	Noise machine.NoiseModel
 	// Classes assigns device classes to node ids (the
-	// machine.ClassMap grammar, e.g. "0-511:cpu,512-575:gpu").
-	// Unmapped nodes get the default class above. Nil keeps the
-	// cluster homogeneous — the degenerate one-class case, byte-
-	// identical to the pre-class behaviour.
+	// machine.ClassMap grammar, e.g. "0-511:cpu,512-575:gpu"); names
+	// resolve against the built-in presets (machine.PresetNames).
+	// Unmapped nodes are built from machine.DefaultClass. Nil keeps the
+	// cluster homogeneous: every node is of the default class.
 	Classes *machine.ClassMap
-	// ClassRegistry resolves class names; entries override the
-	// built-in presets (machine.PresetNames). Nil uses the presets
-	// alone.
-	ClassRegistry map[string]machine.Class
 	// JobSeed fixes node-allocation effects (speed and power-efficiency
 	// skews); RunSeed drives per-run jitter. RunSeed zero falls back to
 	// JobSeed (the single-seed behaviour of the insitu driver).
@@ -104,42 +93,6 @@ func (tr Transition) String() string {
 	return fmt.Sprintf("sync %d: node %d (%s) %s -> %s", tr.Sync, tr.NodeID, tr.Role, tr.From, tr.To)
 }
 
-// Defaults returns the configuration with its zero-valued model
-// fields replaced by the documented defaults: the default device
-// class's model and RAPL domain (DefaultModel on Theta). This is the
-// single normalization step every entry point shares — the drivers
-// pass their Machine/Rapl fields through untouched, so "zero means
-// the Theta defaults" is an explicit contract here rather than an
-// accident of zero-value comparison sprinkled across callers. A
-// homogeneous cluster is thus literally the one-class degenerate case
-// of the preset registry.
-func (cfg Config) Defaults() Config {
-	def := machine.DefaultClass()
-	if cfg.Machine == (machine.Model{}) {
-		cfg.Machine = def.Model
-	}
-	if cfg.Rapl == (rapl.Config{}) {
-		cfg.Rapl = def.Rapl
-	}
-	return cfg
-}
-
-// classes resolves the class registry in effect: built-in presets
-// overlaid with the config's registry, plus the default class built
-// from the (normalized) Machine/Rapl pair.
-func (cfg Config) classes() map[string]machine.Class {
-	reg := map[string]machine.Class{}
-	for _, name := range machine.PresetNames() {
-		c, _ := machine.PresetClass(name)
-		reg[name] = c
-	}
-	for name, c := range cfg.ClassRegistry {
-		c.Name = name
-		reg[name] = c
-	}
-	return reg
-}
-
 // Cluster is the node population of one job plus its health state.
 type Cluster struct {
 	cfg   Config
@@ -175,24 +128,18 @@ func New(cfg Config) (*Cluster, error) {
 	if cfg.SimNodes <= 0 || cfg.AnaNodes <= 0 {
 		return nil, fmt.Errorf("cluster: need positive partition sizes, got sim=%d ana=%d", cfg.SimNodes, cfg.AnaNodes)
 	}
-	cfg = cfg.Defaults()
 	n := cfg.SimNodes + cfg.AnaNodes
-	var registry map[string]machine.Class
+	// classes holds the preset of every class the map names, resolved
+	// once for the whole population.
+	var classes map[string]machine.Class
 	if !cfg.Classes.Empty() {
-		registry = cfg.classes()
-		known := make([]string, 0, len(registry))
-		for name := range registry {
-			known = append(known, name)
-		}
-		sort.Strings(known)
-		resolve := func(name string) bool { _, ok := registry[name]; return ok }
-		if err := cfg.Classes.Validate(n, resolve, known); err != nil {
+		resolve := func(name string) bool { _, ok := machine.PresetClass(name); return ok }
+		if err := cfg.Classes.Validate(n, resolve, machine.PresetNames()); err != nil {
 			return nil, err
 		}
+		classes = make(map[string]machine.Class)
 		for _, name := range cfg.Classes.Classes() {
-			if err := registry[name].Validate(); err != nil {
-				return nil, err
-			}
+			classes[name], _ = machine.PresetClass(name)
 		}
 	}
 	if cfg.Scales != nil {
@@ -237,17 +184,18 @@ func New(cfg Config) (*Cluster, error) {
 		aliveAna: cfg.AnaNodes,
 	}
 	var weights map[string]float64
-	if registry != nil {
+	if classes != nil {
 		c.caps = make([]core.NodeCapability, n)
 		weights = map[string]float64{}
 	}
-	defaultClass := machine.Class{Name: "default", Model: cfg.Machine, Rapl: cfg.Rapl}
+	// Unmapped nodes are of the default class, but their capability
+	// names them "default", apart from nodes mapped to its "cpu" preset.
+	defaultClass := machine.DefaultClass()
+	defaultClass.Name = "default"
 	for i := 0; i < n; i++ {
 		cl := defaultClass
-		if registry != nil {
-			if name := cfg.Classes.ClassAt(i); name != "" {
-				cl = registry[name]
-			}
+		if name := cfg.Classes.ClassAt(i); name != "" {
+			cl = classes[name]
 		}
 		raplCfg, model, noise := cl.Rapl, cl.Model, cfg.Noise
 		if noise != (machine.NoiseModel{}) && cl.Noise != (machine.NoiseModel{}) {
@@ -364,12 +312,6 @@ func (c *Cluster) Reset() {
 // Size returns the total node count.
 func (c *Cluster) Size() int { return len(c.nodes) }
 
-// SimNodes returns the configured simulation-partition size.
-func (c *Cluster) SimNodes() int { return c.cfg.SimNodes }
-
-// AnaNodes returns the configured analysis-partition size.
-func (c *Cluster) AnaNodes() int { return c.cfg.AnaNodes }
-
 // Node returns node i's machine.
 func (c *Cluster) Node(i int) *machine.Node { return c.nodes[i] }
 
@@ -414,24 +356,15 @@ func (c *Cluster) AliveCounts() (sim, ana int) {
 	return c.aliveSim, c.aliveAna
 }
 
-// AliveByRole returns one partition's live size.
-func (c *Cluster) AliveByRole(role core.Role) int {
-	sim, ana := c.AliveCounts()
-	if role == core.RoleSimulation {
-		return sim
-	}
-	return ana
-}
-
 // WorkScale returns the factor by which each surviving node's share of
 // the partition's (fixed, domain-decomposed) work grows after kills:
 // configured size over live size. It returns 1 for a full partition.
 func (c *Cluster) WorkScale(role core.Role) float64 {
-	configured := c.cfg.SimNodes
+	sim, ana := c.AliveCounts()
+	configured, alive := c.cfg.SimNodes, sim
 	if role == core.RoleAnalysis {
-		configured = c.cfg.AnaNodes
+		configured, alive = c.cfg.AnaNodes, ana
 	}
-	alive := c.AliveByRole(role)
 	if alive <= 0 || alive == configured {
 		return 1
 	}

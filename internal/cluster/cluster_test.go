@@ -21,8 +21,8 @@ func mustNew(t *testing.T, cfg Config) *Cluster {
 
 func TestNewBuildsPartitions(t *testing.T) {
 	c := mustNew(t, Config{SimNodes: 3, AnaNodes: 2, JobSeed: 11})
-	if c.Size() != 5 || c.SimNodes() != 3 || c.AnaNodes() != 2 {
-		t.Fatalf("sizes = %d/%d/%d", c.Size(), c.SimNodes(), c.AnaNodes())
+	if c.Size() != 5 {
+		t.Fatalf("size = %d, want 5", c.Size())
 	}
 	for i := 0; i < 5; i++ {
 		wantRole := core.RoleSimulation
@@ -52,7 +52,7 @@ func TestSeedWiringMatchesDirectConstruction(t *testing.T) {
 	noise := machine.DefaultNoise()
 	c := mustNew(t, Config{SimNodes: 2, AnaNodes: 2, Noise: noise, JobSeed: 42, RunSeed: 99})
 	for i := 0; i < 4; i++ {
-		want := machine.NewNodeWithSeeds(i, c.cfg.Rapl, c.cfg.Machine, noise, 42, 99)
+		want := machine.DefaultNodeWithSeeds(i, noise, 42, 99)
 		if got := c.Node(i).Skew(); got != want.Skew() {
 			t.Errorf("node %d skew = %v, want %v", i, got, want.Skew())
 		}

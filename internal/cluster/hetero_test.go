@@ -76,26 +76,6 @@ func TestClassErrors(t *testing.T) {
 		!strings.Contains(err.Error(), "cluster size") {
 		t.Errorf("oversized class map error unhelpful: %v", err)
 	}
-	// A registry entry can shadow a preset; a broken one is rejected.
-	broken := machine.Class{Name: "gpu"}
-	if _, err := New(Config{SimNodes: 2, AnaNodes: 2,
-		Classes:       machine.MustParseClassMap("0:gpu"),
-		ClassRegistry: map[string]machine.Class{"gpu": broken}}); err == nil {
-		t.Error("broken registry class accepted")
-	}
-}
-
-func TestClassRegistryOverridesPresets(t *testing.T) {
-	custom := machine.DefaultClass()
-	custom.Rapl.MinCap = 50
-	custom.Rapl.TDP = 120
-	c := mustNew(t, Config{SimNodes: 1, AnaNodes: 1, JobSeed: 1,
-		Classes:       machine.MustParseClassMap("0-1:tiny"),
-		ClassRegistry: map[string]machine.Class{"tiny": custom}})
-	cap := c.Capability(0)
-	if cap.Class != "tiny" || cap.MinCap != 50 || cap.MaxCap != 120 {
-		t.Errorf("custom class capability = %+v", cap)
-	}
 }
 
 // TestScalesCompressClassCapRange pins the Scales x classes

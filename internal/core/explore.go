@@ -18,8 +18,9 @@ type ExploringConfig struct {
 	Window      int
 	// Period is how many allocations pass between exploration probes.
 	Period int
-	// Probe is the power perturbation applied to the simulation
-	// partition (the analysis receives the complement) during a probe.
+	// Probe is the per-node power perturbation applied to the live
+	// simulation nodes during a probe; the live analysis nodes give up
+	// the same total, spread evenly over them.
 	Probe units.Watts
 	// Seed drives the probe-direction draws deterministically.
 	Seed uint64
@@ -121,6 +122,11 @@ func (e *ExploringSeeSAw) Allocate(step int, nodes []NodeMeasure) []units.Watts 
 		e.probeDelta = delta
 		e.preTime = interval
 		e.preCaps = append([]units.Watts(nil), caps...)
+		// Each live analysis node gives up its share of what the live
+		// simulation nodes gain, so an unclamped probe keeps the caps'
+		// sum; with equal live partitions the share is exactly delta.
+		_, _, _, _, liveSim, liveAna := partitionTotals(nodes)
+		anaDelta := -delta * units.Watts(float64(liveSim)/float64(liveAna))
 		probe := make([]units.Watts, len(caps))
 		for i, n := range nodes {
 			if n.Health == Dead {
@@ -128,7 +134,7 @@ func (e *ExploringSeeSAw) Allocate(step int, nodes []NodeMeasure) []units.Watts 
 			}
 			d := delta
 			if n.Role == RoleAnalysis {
-				d = -delta
+				d = anaDelta
 			}
 			lo, hi := n.CapRange(e.cfg.Constraints)
 			probe[i] = units.ClampWatts(caps[i]+d, lo, hi)

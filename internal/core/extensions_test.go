@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"seesaw/internal/units"
@@ -215,6 +216,49 @@ func TestAblationCapsInNodeRange(t *testing.T) {
 			}
 			if pol == Policy(explore) && probes == 0 {
 				t.Fatal("no exploration probe launched")
+			}
+		})
+	}
+}
+
+// TestExploringProbeConservesBudget launches a probe on an even 4+4 set
+// and on sets whose live partitions differ in size, a 4+4 set with a
+// dead analysis node and a 3+5 set: the unclamped probe caps must sum
+// to the pre-probe caps, whatever the live sizes.
+func TestExploringProbeConservesBudget(t *testing.T) {
+	cases := []struct {
+		name  string
+		shape func(ms []NodeMeasure)
+	}{
+		{"4+4", func([]NodeMeasure) {}},
+		{"4+4 dead analysis node", func(ms []NodeMeasure) { ms[5] = NodeMeasure{Role: RoleAnalysis, Health: Dead} }},
+		{"3+5", func(ms []NodeMeasure) { ms[3].Role = RoleAnalysis }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := DefaultExploringConfig(testConstraints())
+			cfg.Period = 2
+			e := MustNewExploringSeeSAw(cfg)
+			ms := measures(4, 4, 105, 110, 110)
+			tc.shape(ms)
+			var probe []units.Watts
+			for step := 1; step <= 2; step++ {
+				probe = e.Allocate(step, ms)
+			}
+			if !e.probing || probe == nil {
+				t.Fatal("no probe launched")
+			}
+			var pre, got units.Watts
+			for i := range probe {
+				lo, hi := ms[i].CapRange(cfg.Constraints)
+				if ms[i].Health != Dead && (probe[i] == lo || probe[i] == hi) {
+					t.Fatalf("node %d probe cap %v clamped; the case must stay unclamped", i, probe[i])
+				}
+				pre += e.preCaps[i]
+				got += probe[i]
+			}
+			if math.Abs(float64(got-pre)) > 1e-9 {
+				t.Errorf("probe caps sum to %v, the pre-probe caps to %v", got, pre)
 			}
 		})
 	}

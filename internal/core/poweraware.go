@@ -47,7 +47,6 @@ func DefaultPowerAwareConfig(c Constraints) PowerAwareConfig {
 type PowerAware struct {
 	cfg        PowerAwareConfig
 	sinceAlloc int
-	allocs     int
 
 	// caps backs the returned caps slice (Policy ownership contract:
 	// valid until the next Allocate); needy is per-call scratch.
@@ -77,9 +76,6 @@ func MustNewPowerAware(cfg PowerAwareConfig) *PowerAware {
 
 // Name implements Policy.
 func (*PowerAware) Name() string { return "power-aware" }
-
-// Allocations reports how many times power was redistributed.
-func (p *PowerAware) Allocations() int { return p.allocs }
 
 // Allocate implements Policy.
 func (p *PowerAware) Allocate(step int, nodes []NodeMeasure) []units.Watts {
@@ -163,7 +159,5 @@ func (p *PowerAware) Allocate(step int, nodes []NodeMeasure) []units.Watts {
 	// no needy nodes at all) is returned evenly so the budget isn't
 	// leaked.
 	spreadSlack(nodes, caps, pool, alive, c)
-
-	p.allocs++
 	return caps
 }

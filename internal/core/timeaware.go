@@ -55,8 +55,6 @@ type TimeAware struct {
 	cfg  TimeAwareConfig
 	step units.Watts
 
-	allocs int
-
 	// caps backs the returned caps slice (Policy ownership contract:
 	// valid until the next Allocate); slow is per-call scratch.
 	caps []units.Watts
@@ -91,9 +89,6 @@ func MustNewTimeAware(cfg TimeAwareConfig) *TimeAware {
 
 // Name implements Policy.
 func (*TimeAware) Name() string { return "time-aware" }
-
-// Allocations reports how many adjustment rounds ran.
-func (t *TimeAware) Allocations() int { return t.allocs }
 
 // Step returns the current adjustment step size (for tests).
 func (t *TimeAware) Step() units.Watts { return t.step }
@@ -191,7 +186,5 @@ func (t *TimeAware) Allocate(step int, nodes []NodeMeasure) []units.Watts {
 	if t.step < t.cfg.MinStep {
 		t.step = t.cfg.MinStep
 	}
-
-	t.allocs++
 	return caps
 }

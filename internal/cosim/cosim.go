@@ -28,8 +28,6 @@ import (
 	"seesaw/internal/core"
 	"seesaw/internal/fault"
 	"seesaw/internal/machine"
-	"seesaw/internal/mpi"
-	"seesaw/internal/rapl"
 	"seesaw/internal/telemetry"
 	"seesaw/internal/trace"
 	"seesaw/internal/units"
@@ -78,20 +76,10 @@ type Config struct {
 	// Noise configures run-to-run and job-to-job variability
 	// magnitudes; zero disables noise entirely.
 	Noise machine.NoiseModel
-	// Machine is the node performance model (DefaultModel if zero);
-	// with Classes set it describes the default class.
-	Machine machine.Model
-	// Rapl is the RAPL hardware model (Theta if zero); with Classes
-	// set it describes the default class.
-	Rapl rapl.Config
 	// Classes assigns device classes to node ids (machine.ClassMap
 	// grammar); nil keeps the cluster homogeneous. The allocators see
 	// each node's class capability and weight its budget share.
 	Classes *machine.ClassMap
-	// ClassRegistry optionally overrides the built-in class presets.
-	ClassRegistry map[string]machine.Class
-	// Cost models the allocator's communication (DefaultCost if zero).
-	Cost mpi.CostModel
 	// TraceSegments, when true, records (time, power) segments for the
 	// first node of each partition so power traces can be resampled
 	// (Figure 1).

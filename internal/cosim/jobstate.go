@@ -103,9 +103,6 @@ func newJobState(cfg Config, memo bool) (*JobState, error) {
 	if err := cfg.Spec.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.Cost == (mpi.CostModel{}) {
-		cfg.Cost = mpi.DefaultCost()
-	}
 	cfg.Policy = nil
 	cfg.Constraints = core.Constraints{}
 	cfg.InitialSimCap, cfg.InitialAnaCap = 0, 0
@@ -144,8 +141,9 @@ func newJobState(cfg Config, memo bool) (*JobState, error) {
 
 	// Allocator overhead per synchronization: the measurement Allgather
 	// and the cap Bcast over all nodes, plus the policy's local compute.
-	st.overhead = cfg.Cost.CollectiveCost(st.nTotal, 32*st.nTotal) +
-		cfg.Cost.CollectiveCost(st.nTotal, 8*st.nTotal) +
+	cost := mpi.DefaultCost()
+	st.overhead = cost.CollectiveCost(st.nTotal, 32*st.nTotal) +
+		cost.CollectiveCost(st.nTotal, 8*st.nTotal) +
 		policyComputeTime
 
 	// Noise-trace memoization: the jitter draws a node consumes over an
@@ -327,16 +325,13 @@ func maxLen(tables [][]machine.Phase) int {
 // invalid phase panics, preserving machine.Node.Run's contract).
 func (st *JobState) NewEpisode() (*Episode, error) {
 	cl, err := cluster.New(cluster.Config{
-		SimNodes:      st.nSim,
-		AnaNodes:      st.nAna,
-		Rapl:          st.cfg.Rapl,
-		Machine:       st.cfg.Machine,
-		Noise:         st.cfg.Noise,
-		Classes:       st.cfg.Classes,
-		ClassRegistry: st.cfg.ClassRegistry,
-		JobSeed:       st.cfg.Seed,
-		RunSeed:       st.cfg.RunSeed,
-		Faults:        st.cfg.Faults,
+		SimNodes: st.nSim,
+		AnaNodes: st.nAna,
+		Noise:    st.cfg.Noise,
+		Classes:  st.cfg.Classes,
+		JobSeed:  st.cfg.Seed,
+		RunSeed:  st.cfg.RunSeed,
+		Faults:   st.cfg.Faults,
 	})
 	if err != nil {
 		return nil, err

@@ -1,5 +1,5 @@
-// Package fault defines deterministic, seedable fault-injection plans
-// for the simulated platform. A plan is a set of events keyed to the
+// Package fault defines deterministic fault-injection plans for the
+// simulated platform. A plan is a set of events keyed to the
 // virtual synchronization schedule — "kill node n at sync k", "slow
 // node n by a factor f over a window of syncs" — consumed by the
 // drivers (cosim, insitu) through the cluster layer. Plans are plain
@@ -13,7 +13,6 @@ import (
 	"strconv"
 	"strings"
 
-	"seesaw/internal/rng"
 	"seesaw/internal/units"
 )
 
@@ -134,13 +133,6 @@ func (p *Plan) KillSync(node int) int {
 		}
 	}
 	return at
-}
-
-// KilledBy reports whether the plan has killed node by sync (that is,
-// a kill event with Sync <= sync exists).
-func (p *Plan) KilledBy(node, sync int) bool {
-	at := p.KillSync(node)
-	return at != 0 && at <= sync
 }
 
 // SlowFactor returns the combined duration multiplier active on node
@@ -306,38 +298,6 @@ func parseEvent(tok string) (Event, error) {
 	default:
 		return Event{}, fmt.Errorf("fault: %q: unknown kind %q (want kill or slow)", tok, kind)
 	}
-}
-
-// Random draws a seeded plan over a platform of n nodes and a job of
-// `syncs` synchronizations: `kills` distinct kill events and `slows`
-// excursions (factor in [1.5, 3.0), window up to a quarter of the
-// job). Identical arguments yield identical plans.
-func Random(seed uint64, n, syncs, kills, slows int) *Plan {
-	if n <= 0 || syncs <= 0 || kills+slows <= 0 {
-		return nil
-	}
-	s := rng.Derive(seed, "fault-plan")
-	var p Plan
-	chosen := make(map[int]bool)
-	for i := 0; i < kills && len(chosen) < n; i++ {
-		node := s.Intn(n)
-		for chosen[node] {
-			node = (node + 1) % n
-		}
-		chosen[node] = true
-		p.Events = append(p.Events, Event{Kind: Kill, Node: node, Sync: 1 + s.Intn(syncs)})
-	}
-	for i := 0; i < slows; i++ {
-		win := 1 + s.Intn(max(1, syncs/4))
-		p.Events = append(p.Events, Event{
-			Kind:   Slow,
-			Node:   s.Intn(n),
-			Sync:   1 + s.Intn(syncs),
-			Factor: 1.5 + 1.5*s.Float64(),
-			Window: win,
-		})
-	}
-	return &p
 }
 
 // KilledError is the error an insitu job unwinds with when a planned

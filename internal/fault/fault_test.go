@@ -120,7 +120,7 @@ func TestValidate(t *testing.T) {
 
 func TestQueriesNilSafe(t *testing.T) {
 	var p *Plan
-	if !p.Empty() || p.KilledBy(0, 100) || p.SlowFactor(0, 1) != 1 || p.KillSync(3) != 0 {
+	if !p.Empty() || p.SlowFactor(0, 1) != 1 || p.KillSync(3) != 0 {
 		t.Error("nil plan queries not inert")
 	}
 	if p.String() != "" || p.Kills() != nil || p.Rebase(5) != nil {
@@ -133,14 +133,14 @@ func TestKillQueries(t *testing.T) {
 		{Kind: Kill, Node: 4, Sync: 10},
 		{Kind: Kill, Node: 2, Sync: 3},
 	}}
-	if p.KilledBy(4, 9) {
-		t.Error("node 4 dead before its kill sync")
+	if got := p.KillSync(4); got != 10 {
+		t.Errorf("KillSync(4) = %d, want 10", got)
 	}
-	if !p.KilledBy(4, 10) || !p.KilledBy(4, 99) {
-		t.Error("node 4 not dead at/after its kill sync")
+	if got := p.KillSync(2); got != 3 {
+		t.Errorf("KillSync(2) = %d, want 3", got)
 	}
-	if p.KilledBy(1, 99) {
-		t.Error("unplanned node reported dead")
+	if got := p.KillSync(1); got != 0 {
+		t.Errorf("KillSync(1) = %d for an unplanned node, want 0", got)
 	}
 	if got := p.Kills(); len(got) != 2 || got[0] != 2 || got[1] != 4 {
 		t.Errorf("Kills() = %v, want [2 4]", got)
@@ -191,26 +191,6 @@ func TestRebase(t *testing.T) {
 	exp := &Plan{Events: []Event{{Kind: Slow, Node: 0, Sync: 1, Factor: 2, Window: 2}}}
 	if exp.Rebase(10) != nil {
 		t.Error("fully expired plan did not rebase to nil")
-	}
-}
-
-func TestRandomDeterministic(t *testing.T) {
-	a := Random(42, 16, 100, 2, 3)
-	b := Random(42, 16, 100, 2, 3)
-	if a.String() != b.String() {
-		t.Errorf("Random not deterministic:\n%s\n%s", a, b)
-	}
-	if c := Random(43, 16, 100, 2, 3); c.String() == a.String() {
-		t.Error("different seeds yield identical plans")
-	}
-	if err := a.Validate(16); err != nil {
-		t.Errorf("random plan invalid: %v", err)
-	}
-	if len(a.Kills()) != 2 {
-		t.Errorf("want 2 distinct kills, got %v", a.Kills())
-	}
-	if Random(0, 0, 10, 1, 1) != nil || Random(0, 4, 10, 0, 0) != nil {
-		t.Error("degenerate Random not nil")
 	}
 }
 

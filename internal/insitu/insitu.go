@@ -35,8 +35,6 @@ import (
 	"seesaw/internal/fault"
 	"seesaw/internal/lammps"
 	"seesaw/internal/machine"
-	"seesaw/internal/mpi"
-	"seesaw/internal/rapl"
 	"seesaw/internal/telemetry"
 	"seesaw/internal/trace"
 	"seesaw/internal/units"
@@ -68,7 +66,9 @@ type Config struct {
 	// "time-shared" (each analysis rank co-resides with a simulation
 	// rank, splitting the physical node into two half-node power
 	// domains; requires equal partitions — Constraints and the initial
-	// caps describe full physical nodes and are halved internally), or
+	// caps describe full physical nodes and are halved internally, and
+	// the workflow engine runs each phase at half the power envelope
+	// and twice the nominal time), or
 	// "in-transit" (frames reach the analysis partition through a
 	// staging hop the simulation ranks pay for on the virtual clock).
 	Topology string
@@ -93,19 +93,9 @@ type Config struct {
 	// Noise configures node variability; zero values give a
 	// deterministic run.
 	Noise machine.NoiseModel
-	// Machine is the node performance model (DefaultModel if zero);
-	// with Classes set it describes the default class.
-	Machine machine.Model
-	// Rapl is the per-node RAPL configuration (Theta if zero); with
-	// Classes set it describes the default class.
-	Rapl rapl.Config
 	// Classes assigns device classes to world ranks (machine.ClassMap
 	// grammar); nil keeps the cluster homogeneous.
 	Classes *machine.ClassMap
-	// ClassRegistry optionally overrides the built-in class presets.
-	ClassRegistry map[string]machine.Class
-	// Cost is the communication cost model (DefaultCost if zero).
-	Cost mpi.CostModel
 	// Telemetry, when non-nil, receives metrics and structured events
 	// from every rank: RAPL cap writes and throttling, collective
 	// rendezvous waits (via the mpi runtime), synchronization barriers
@@ -113,11 +103,8 @@ type Config struct {
 	// at no cost.
 	Telemetry *telemetry.Hub
 
-	// placement is Topology parsed; wattScale/timeScale adapt the
-	// per-phase power envelope and nominal time to the rank's power
-	// domain (0.5/2 on a time-shared half-node, 1/1 otherwise).
-	placement            workflow.Placement
-	wattScale, timeScale float64
+	// placement is Topology parsed.
+	placement workflow.Placement
 }
 
 // normalize fills zero-valued sub-configurations with defaults.
@@ -140,17 +127,11 @@ func (c *Config) normalize() error {
 	if c.Policy == nil {
 		c.Policy = core.NewStatic()
 	}
-	// Machine/Rapl zero-value defaults are owned by cluster.Config.Defaults,
-	// the one normalization step shared by every driver.
-	if c.Cost == (mpi.CostModel{}) {
-		c.Cost = mpi.DefaultCost()
-	}
 	placement, err := workflow.ParsePlacement(c.Topology)
 	if err != nil {
 		return fmt.Errorf("insitu: topology: %w", err)
 	}
 	c.placement = placement
-	c.wattScale, c.timeScale = 1, 1
 	if placement == workflow.TimeShared {
 		if c.SimRanks != c.AnaRanks {
 			return fmt.Errorf("insitu: time-shared topology pairs partitions rank-for-rank, got sim=%d ana=%d", c.SimRanks, c.AnaRanks)
@@ -163,7 +144,6 @@ func (c *Config) normalize() error {
 		c.Constraints.MaxCap /= 2
 		c.InitialSimCap /= 2
 		c.InitialAnaCap /= 2
-		c.wattScale, c.timeScale = 0.5, 2
 	}
 	nodes := c.SimRanks + c.AnaRanks
 	if err := c.Constraints.Validate(nodes); err != nil {
@@ -280,22 +260,18 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		},
 	}
 	wres, err := workflow.Run(ctx, workflow.Config{
-		Graph:         g,
-		Steps:         cfg.Steps,
-		SyncSteps:     syncSchedule,
-		Policy:        cfg.Policy,
-		Constraints:   cfg.Constraints,
-		InitialCaps:   map[string]units.Watts{"sim": cfg.InitialSimCap, "ana": cfg.InitialAnaCap},
-		ShortTermCap:  cfg.ShortTermCap,
-		Seed:          cfg.Seed,
-		Faults:        cfg.Faults,
-		Noise:         cfg.Noise,
-		Machine:       cfg.Machine,
-		Rapl:          cfg.Rapl,
-		Classes:       cfg.Classes,
-		ClassRegistry: cfg.ClassRegistry,
-		Cost:          cfg.Cost,
-		Telemetry:     cfg.Telemetry,
+		Graph:        g,
+		Steps:        cfg.Steps,
+		SyncSteps:    syncSchedule,
+		Policy:       cfg.Policy,
+		Constraints:  cfg.Constraints,
+		InitialCaps:  map[string]units.Watts{"sim": cfg.InitialSimCap, "ana": cfg.InitialAnaCap},
+		ShortTermCap: cfg.ShortTermCap,
+		Seed:         cfg.Seed,
+		Faults:       cfg.Faults,
+		Noise:        cfg.Noise,
+		Classes:      cfg.Classes,
+		Telemetry:    cfg.Telemetry,
 	})
 	if err != nil {
 		return nil, err
@@ -390,7 +366,7 @@ func newJobTables(ctx context.Context, cfg *Config, syncSchedule []int) (*jobTab
 // its time in the parts that do differ per rank: virtual-time phases,
 // power allocation, faults and communication.
 func runSimRank(rc *workflow.RankCtx, cfg *Config, tables *jobTables, res *Result, mu *sync.Mutex) {
-	r, simComm, node := rc.Rank, rc.Part, rc.Node
+	r, simComm := rc.Rank, rc.Part
 	mgr := rc.Mgr
 	tr := tables.trace
 	dst := rc.OutDest(0)
@@ -400,7 +376,7 @@ func runSimRank(rc *workflow.RankCtx, cfg *Config, tables *jobTables, res *Resul
 	for step := 1; step <= cfg.Steps; step++ {
 		st := &tr.steps[step-1]
 		// Step 1: initial integration.
-		runWork(r, node, cfg, phases.integrate, st.integrate)
+		runWork(rc, phases.integrate, st.integrate)
 
 		if st.frame != nil {
 			syncIdx++
@@ -414,34 +390,34 @@ func runSimRank(rc *workflow.RankCtx, cfg *Config, tables *jobTables, res *Resul
 			// snapshot instead of cloning ~frameBytes per send. Under an
 			// in-transit topology StageTransfer first pays the staging hop
 			// on this rank's clock.
-			runWork(r, node, cfg, phases.sync, lammps.WorkCount{Ops: float64(tr.n) * 6, Bytes: tr.frameBytes})
+			runWork(rc, phases.sync, lammps.WorkCount{Ops: float64(tr.n) * 6, Bytes: tr.frameBytes})
 			rc.StageTransfer(0, syncIdx)
 			r.Send(dst, tagFrame, st.frame, tr.frameBytes)
 
 			// Step 3: rebuild a subset of data structures.
-			runWork(r, node, cfg, phases.rebuild, lammps.WorkCount{Ops: float64(tr.n) * 4})
+			runWork(rc, phases.rebuild, lammps.WorkCount{Ops: float64(tr.n) * 4})
 
 			// Step 4: particle count for verification.
 			rc.StageTransfer(1, syncIdx)
 			r.Send(dst, tagCount, tr.n, 8)
 
 			// Step 5: update neighbor lists.
-			runWork(r, node, cfg, phases.neighbor, st.neighbor)
+			runWork(rc, phases.neighbor, st.neighbor)
 		} else if st.rebuilt {
 			// Physical-safety rebuild between synchronizations (the
 			// Verlet skin would otherwise be violated for large j);
 			// charged as ordinary neighbor work without synchronization.
-			runWork(r, node, cfg, phases.neighbor, st.neighbor)
+			runWork(rc, phases.neighbor, st.neighbor)
 		}
 
 		// Step 6: force computation and final integration.
-		runWork(r, node, cfg, phases.force, st.force)
+		runWork(rc, phases.force, st.force)
 
 		// Step 8: thermodynamic output at the end of each time step
 		// (communication- and I/O-intensive).
 		sums := simComm.AllreduceSum([]float64{st.ke, st.pe})
 		_ = sums
-		runWork(r, node, cfg, phases.output, lammps.WorkCount{Ops: float64(tr.n), Bytes: tr.thermoBytes * simComm.Size()})
+		runWork(rc, phases.output, lammps.WorkCount{Ops: float64(tr.n), Bytes: tr.thermoBytes * simComm.Size()})
 	}
 
 	mu.Lock()
@@ -460,7 +436,7 @@ func runSimRank(rc *workflow.RankCtx, cfg *Config, tables *jobTables, res *Resul
 func runAnaRank(rc *workflow.RankCtx, cfg *Config, tables *jobTables, syncSchedule []int,
 	res *Result, mu *sync.Mutex) {
 
-	r, anaComm, node := rc.Rank, rc.Part, rc.Node
+	r, anaComm := rc.Rank, rc.Part
 	mgr := rc.Mgr
 	at := tables.anaTr
 
@@ -485,7 +461,7 @@ func runAnaRank(rc *workflow.RankCtx, cfg *Config, tables *jobTables, syncSchedu
 			frame := payload.(*lammps.Frame)
 
 			// Step 3: rebuild analysis-side data structures.
-			runWork(r, node, cfg, phases.rebuild, lammps.WorkCount{Ops: float64(len(frame.Pos)) * 4})
+			runWork(rc, phases.rebuild, lammps.WorkCount{Ops: float64(len(frame.Pos)) * 4})
 
 			// Step 4: verification of the particle count.
 			before = r.Clock()
@@ -496,7 +472,7 @@ func runAnaRank(rc *workflow.RankCtx, cfg *Config, tables *jobTables, syncSchedu
 			}
 
 			// Step 5: analysis-side neighbor/bookkeeping update.
-			runWork(r, node, cfg, phases.neighbor, lammps.WorkCount{Ops: float64(len(frame.Pos)) * 2})
+			runWork(rc, phases.neighbor, lammps.WorkCount{Ops: float64(len(frame.Pos)) * 2})
 
 			// Step 7: the analyses due at this step run in sequence.
 			for _, ti := range at.due[si] {
@@ -504,7 +480,7 @@ func runAnaRank(rc *workflow.RankCtx, cfg *Config, tables *jobTables, syncSchedu
 				w := rec.work[si][flat]
 				flat++
 				nominal := units.Seconds(w.Ops*spec.prof.SecondsPerOp + float64(w.Bytes)*bytesSecPerByte)
-				runPhase(r, node, cfg, machine.Phase{
+				rc.RunPhase(machine.Phase{
 					Name:        spec.name,
 					Nominal:     nominal,
 					Demand:      spec.prof.Demand,
@@ -559,32 +535,14 @@ var anaPhases = map[string]phaseSpec{
 	"neighbor": {demand: 120, saturation: 115, sens: 0.30, secPerOp: 7.5e-5},
 }
 
-// runWork converts a work count into a machine phase, executes it, and
-// advances the rank's virtual clock.
-func runWork(r *mpi.Rank, node *machine.Node, cfg *Config, spec phaseSpec, w lammps.WorkCount) {
-	nominal := units.Seconds(w.Ops*spec.secPerOp + float64(w.Bytes)*spec.secPerByte)
-	if nominal <= 0 {
-		return
-	}
-	runPhase(r, node, cfg, machine.Phase{
+// runWork converts a work count into a machine phase and runs it on the
+// rank, which scales it to the rank's placement.
+func runWork(rc *workflow.RankCtx, spec phaseSpec, w lammps.WorkCount) {
+	rc.RunPhase(machine.Phase{
 		Name:        "phase",
-		Nominal:     nominal,
+		Nominal:     units.Seconds(w.Ops*spec.secPerOp + float64(w.Bytes)*spec.secPerByte),
 		Demand:      spec.demand,
 		Saturation:  spec.saturation,
 		Sensitivity: spec.sens,
 	})
-}
-
-// runPhase executes one phase on the rank's node and advances the
-// virtual clock. On a time-shared half-node the phase is adapted to the
-// rank's power domain: half the demand/saturation envelope, twice the
-// nominal time (half the machine does the same work).
-func runPhase(r *mpi.Rank, node *machine.Node, cfg *Config, ph machine.Phase) {
-	if cfg.wattScale != 1 {
-		ph.Nominal = units.Seconds(float64(ph.Nominal) * cfg.timeScale)
-		ph.Demand = units.Watts(float64(ph.Demand) * cfg.wattScale)
-		ph.Saturation = units.Watts(float64(ph.Saturation) * cfg.wattScale)
-	}
-	exec := node.Run(ph, cfg.Noise)
-	r.Elapse(exec.Duration)
 }

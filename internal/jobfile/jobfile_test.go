@@ -104,6 +104,32 @@ func TestBuildWorkflowAndRun(t *testing.T) {
 	}
 }
 
+// TestBuildWorkflowCapModes pins cap_mode on a job with a topology:
+// "long+short" adds short-term caps to the engine's long-term ones, and
+// "none" is an error naming the topology, since the engine always caps.
+func TestBuildWorkflowCapModes(t *testing.T) {
+	build := func(mode string) (workflow.Config, error) {
+		j, err := Load(strings.NewReader(`{"nodes": 8, "dim": 8, "steps": 6,
+			"analyses": [{"name":"msd1d"}], "topology": "in-transit", "cap_mode": "` + mode + `"}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return j.BuildWorkflow()
+	}
+	for mode, want := range map[string]bool{"": false, "long": false, "long+short": true} {
+		cfg, err := build(mode)
+		if err != nil {
+			t.Fatalf("cap_mode %q: %v", mode, err)
+		}
+		if cfg.ShortTermCap != want {
+			t.Errorf("cap_mode %q: ShortTermCap = %v, want %v", mode, cfg.ShortTermCap, want)
+		}
+	}
+	if _, err := build("none"); err == nil || !strings.Contains(err.Error(), "in-transit") {
+		t.Errorf(`cap_mode "none" on in-transit: err = %v, want an error naming the topology`, err)
+	}
+}
+
 func TestBuildWorkflowOddNodes(t *testing.T) {
 	j := &Job{Nodes: 7, Dim: 16, Steps: 10, Analyses: []Analysis{{Name: "msd"}}, Topology: "time-shared"}
 	if err := j.Validate(); err != nil {

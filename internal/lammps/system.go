@@ -187,9 +187,6 @@ func MustNew(cfg Config) *System {
 	return s
 }
 
-// Config returns the system's configuration.
-func (s *System) Config() Config { return s.cfg }
-
 // Step returns the number of completed Verlet steps.
 func (s *System) Step() int { return s.step }
 
@@ -459,10 +456,6 @@ func (s *System) ComputeForces() WorkCount {
 	s.virial = virial
 	return WorkCount{Ops: ops}
 }
-
-// Virial returns sum over pairs of r . F from the last force
-// evaluation.
-func (s *System) Virial() float64 { return s.virial }
 
 // Pressure returns the instantaneous reduced pressure from the virial
 // theorem: P = (N T + W/3) / V with W the pair virial.

@@ -11,9 +11,9 @@ import (
 // another in a heterogeneous cluster: the performance model (idle
 // floor, zero-work power, speed factor, power envelope), the RAPL
 // domain configuration (min cap, TDP, windows) and an optional noise
-// profile. A homogeneous cluster is the degenerate one-class case —
-// cluster.Config's Machine/Rapl/Noise triple is exactly the default
-// class.
+// profile. A homogeneous cluster is the degenerate one-class case:
+// every node is of DefaultClass. A cluster's class map assigns
+// built-in presets to some nodes; the others stay of DefaultClass.
 type Class struct {
 	// Name identifies the class in class maps and traces.
 	Name string

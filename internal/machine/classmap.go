@@ -14,8 +14,8 @@ import (
 //	0-511:cpu,512-575:gpu        // ranges are inclusive
 //	5:gpu                        // single node
 //
-// Unmapped nodes get the cluster's default class (its Machine/Rapl
-// pair). A nil or empty map means a homogeneous cluster.
+// Unmapped nodes get the default class (DefaultClass). A nil or empty
+// map means a homogeneous cluster.
 type ClassMap struct {
 	// Ranges holds the assignments in parse order; ids never overlap.
 	Ranges []ClassRange
@@ -30,7 +30,7 @@ type ClassRange struct {
 // ParseClassMap parses the class-map grammar. It rejects malformed
 // tokens, inverted or negative ranges, empty class names and
 // overlapping assignments; class-name existence is checked later by
-// Validate, against the registry actually in effect.
+// Validate, against the built-in presets.
 func ParseClassMap(s string) (*ClassMap, error) {
 	s = strings.TrimSpace(s)
 	if s == "" {

@@ -536,17 +536,3 @@ func (n *Node) PredictDuration(ph Phase, allowed units.Watts) units.Seconds {
 	slowdown := 1 - ph.Sensitivity + ph.Sensitivity*refPerf/curPerf
 	return units.Seconds(float64(ph.Nominal) * slowdown * n.skew)
 }
-
-// EstimatedFrequency maps a phase's performance factor at the given
-// power to an approximate core frequency, anchored at the KNL 7230's
-// 1.3 GHz base and 1.5 GHz turbo: monitoring tools report frequency, and
-// throttling shows up there first on real hardware.
-func (n *Node) EstimatedFrequency(ph Phase, power units.Watts) float64 {
-	const (
-		baseGHz  = 1.3
-		turboGHz = 1.5
-	)
-	ph = n.model.adapt(ph)
-	f := n.model.perf(units.Watts(float64(power)*n.powerEff), ph.Saturation)
-	return baseGHz*f + (turboGHz-baseGHz)*f*f
-}

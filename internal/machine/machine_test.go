@@ -250,22 +250,6 @@ func mod(x, m float64) float64 {
 	return v
 }
 
-func TestEstimatedFrequency(t *testing.T) {
-	n := quietNode(t, 0)
-	ph := computePhase(1)
-	lo := n.EstimatedFrequency(ph, 98)
-	hi := n.EstimatedFrequency(ph, 215)
-	if lo >= hi {
-		t.Errorf("frequency at 98 W (%v) not below 215 W (%v)", lo, hi)
-	}
-	if hi > 1.51 || hi < 1.2 {
-		t.Errorf("saturated frequency %v outside the KNL band", hi)
-	}
-	if lo < 0.1 {
-		t.Errorf("throttled frequency %v implausibly low", lo)
-	}
-}
-
 func TestSlowFactorExcursion(t *testing.T) {
 	n := quietNode(t, 0)
 	base := n.Run(computePhase(2), NoiseModel{}).Duration

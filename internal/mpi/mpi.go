@@ -345,9 +345,6 @@ func (r *Rank) WorldRank() int { return r.id }
 // can account modeled communication costs explicitly.
 func (r *Rank) Cost() CostModel { return r.rt.cost }
 
-// WorldSize returns the job's total rank count.
-func (r *Rank) WorldSize() int { return r.rt.size }
-
 // World returns the world communicator.
 func (r *Rank) World() *Comm { return r.world }
 

@@ -25,9 +25,6 @@ func TestRunRejectsBadRankCount(t *testing.T) {
 
 func TestWorldBasics(t *testing.T) {
 	run(t, 4, func(r *Rank) {
-		if r.WorldSize() != 4 {
-			panic("wrong world size")
-		}
 		if r.World().Size() != 4 {
 			panic("wrong comm size")
 		}

@@ -110,7 +110,6 @@ type Bandit struct {
 	epReward  float64 // summed reward of the current episode (attribution-lagged)
 	epHalf    float64 // reward over the episode's second half (audition scoring)
 	epHalfN   int     // scored syncs in the second half
-	switches  int     // arm changes, for introspection
 	refreshes int     // confirmed regime shifts (arm rebuilds)
 	allocs    int
 	history   []ArmSpan // selection history, for introspection
@@ -208,9 +207,6 @@ func (*Bandit) Name() string { return "bandit" }
 
 // Arm returns the currently selected arm's policy name.
 func (b *Bandit) Arm() string { return b.arms[b.cur].Name() }
-
-// Switches reports how many times the selection changed arms.
-func (b *Bandit) Switches() int { return b.switches }
 
 // Allocations reports how many Allocate invocations were delegated.
 func (b *Bandit) Allocations() int { return b.allocs }
@@ -368,9 +364,6 @@ func (b *Bandit) endEpisode(nextSync int) {
 		if b.cur != prev {
 			b.anchor = b.value[b.cur]
 		}
-	}
-	if b.cur != prev {
-		b.switches++
 	}
 	if n := len(b.history); n > 0 && (b.history[n-1].Arm != b.Arm() || b.history[n-1].Audition != b.auditioning) {
 		b.history = append(b.history, ArmSpan{FromSync: nextSync, Arm: b.Arm(), Audition: b.auditioning})

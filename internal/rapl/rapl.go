@@ -26,7 +26,6 @@
 package rapl
 
 import (
-	"errors"
 	"fmt"
 
 	"seesaw/internal/telemetry"
@@ -80,10 +79,6 @@ func (c Config) Scale(f float64) Config {
 	c.TDP = units.Watts(float64(c.TDP) * f)
 	return c
 }
-
-// ErrCapOutOfRange is returned when a cap request lies outside the
-// hardware-supported range and clamping is disabled.
-var ErrCapOutOfRange = errors.New("rapl: requested cap outside supported range")
 
 // pendingCap is a cap write waiting out the actuation latency.
 type pendingCap struct {

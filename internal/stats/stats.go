@@ -1,13 +1,10 @@
 // Package stats implements the small set of statistics used by the
-// SeeSAw policies and the experiment harness: central tendency, spread,
-// percentiles, run variability (as defined in the paper's Table I) and
-// exponentially weighted moving averages.
+// SeeSAw policies and the experiment harness: central tendency, run
+// variability (as defined in the paper's Table I), the blend step of
+// SeeSAw's smoothing and its rolling measurement window.
 package stats
 
-import (
-	"math"
-	"sort"
-)
+import "sort"
 
 // Mean returns the arithmetic mean of xs, or 0 for an empty slice.
 func Mean(xs []float64) float64 {
@@ -66,48 +63,6 @@ func Max(xs []float64) float64 {
 	return m
 }
 
-// StdDev returns the sample standard deviation of xs (n-1 denominator),
-// or 0 when len(xs) < 2.
-func StdDev(xs []float64) float64 {
-	n := len(xs)
-	if n < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	var ss float64
-	for _, x := range xs {
-		d := x - m
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(n-1))
-}
-
-// Percentile returns the p-th percentile (0 <= p <= 100) of xs using
-// linear interpolation between order statistics. Returns 0 for an empty
-// slice.
-func Percentile(xs []float64, p float64) float64 {
-	n := len(xs)
-	if n == 0 {
-		return 0
-	}
-	c := append([]float64(nil), xs...)
-	sort.Float64s(c)
-	if p <= 0 {
-		return c[0]
-	}
-	if p >= 100 {
-		return c[n-1]
-	}
-	rank := p / 100 * float64(n-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	if lo == hi {
-		return c[lo]
-	}
-	frac := rank - float64(lo)
-	return c[lo]*(1-frac) + c[hi]*frac
-}
-
 // VariabilityPct is the run variability metric used in the paper's
 // Table I: the spread of repeated runtimes relative to their mean,
 // reported as a percentage ((max-min)/mean * 100). Returns 0 when fewer
@@ -122,41 +77,6 @@ func VariabilityPct(xs []float64) float64 {
 	}
 	return (Max(xs) - Min(xs)) / m * 100
 }
-
-// EWMA maintains an exponentially weighted moving average with a fixed
-// smoothing weight. The first observation initializes the average.
-type EWMA struct {
-	weight float64
-	value  float64
-	seen   bool
-}
-
-// NewEWMA returns an EWMA that weighs each new observation by w
-// (0 < w <= 1).
-func NewEWMA(w float64) *EWMA {
-	if w <= 0 || w > 1 {
-		panic("stats: EWMA weight must be in (0, 1]")
-	}
-	return &EWMA{weight: w}
-}
-
-// Add folds an observation into the average and returns the updated
-// value.
-func (e *EWMA) Add(x float64) float64 {
-	if !e.seen {
-		e.value = x
-		e.seen = true
-		return x
-	}
-	e.value = e.weight*x + (1-e.weight)*e.value
-	return e.value
-}
-
-// Value returns the current average (0 before any observation).
-func (e *EWMA) Value() float64 { return e.value }
-
-// Initialized reports whether at least one observation has been folded in.
-func (e *EWMA) Initialized() bool { return e.seen }
 
 // Blend returns w*x + (1-w)*prev: a single EWMA step with an explicit
 // weight, as used by the SeeSAw allocator where the weight itself varies
@@ -206,6 +126,3 @@ func (r *RollingWindow) Mean() float64 {
 	}
 	return s / float64(r.n)
 }
-
-// Reset discards all observations.
-func (r *RollingWindow) Reset() { r.n, r.pos = 0, 0 }

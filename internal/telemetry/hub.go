@@ -315,16 +315,6 @@ func (h *Hub) Dropped() uint64 {
 	return h.dropped.Load()
 }
 
-// SinkErr returns the first sink write error, if any.
-func (h *Hub) SinkErr() error {
-	if h == nil {
-		return nil
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.sinkErr
-}
-
 // Close flushes the sink when it supports flushing (e.g. bufio.Writer)
 // and returns the first sink error encountered.
 func (h *Hub) Close() error {

@@ -258,28 +258,3 @@ func pad(s string, w int) string {
 	}
 	return s + strings.Repeat(" ", w-len(s))
 }
-
-// RenderMarkdown writes the table as a GitHub-flavored markdown table.
-func (t *Table) RenderMarkdown(w io.Writer) error {
-	if t.Title != "" {
-		if _, err := fmt.Fprintf(w, "**%s**\n\n", t.Title); err != nil {
-			return err
-		}
-	}
-	if _, err := fmt.Fprintf(w, "| %s |\n", strings.Join(t.Headers, " | ")); err != nil {
-		return err
-	}
-	seps := make([]string, len(t.Headers))
-	for i := range seps {
-		seps[i] = "---"
-	}
-	if _, err := fmt.Fprintf(w, "|%s|\n", strings.Join(seps, "|")); err != nil {
-		return err
-	}
-	for _, row := range t.Rows {
-		if _, err := fmt.Fprintf(w, "| %s |\n", strings.Join(row, " | ")); err != nil {
-			return err
-		}
-	}
-	return nil
-}

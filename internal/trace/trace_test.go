@@ -109,21 +109,6 @@ func TestTableFormatsSeconds(t *testing.T) {
 	}
 }
 
-func TestRenderMarkdown(t *testing.T) {
-	tbl := NewTable("T", "a", "b")
-	tbl.AddRow(1, 2.5)
-	var sb strings.Builder
-	if err := tbl.RenderMarkdown(&sb); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	for _, want := range []string{"**T**", "| a | b |", "|---|---|", "| 1 | 2.50 |"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("markdown missing %q:\n%s", want, out)
-		}
-	}
-}
-
 // TestSyncLogCSVEdgeCases covers an empty log and non-finite
 // measurements: every emitted row must stay parseable, with NaN, +Inf
 // and -Inf rendered as their canonical tokens.

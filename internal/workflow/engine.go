@@ -18,7 +18,6 @@ import (
 	"seesaw/internal/machine"
 	"seesaw/internal/mpi"
 	"seesaw/internal/polimer"
-	"seesaw/internal/rapl"
 	"seesaw/internal/telemetry"
 	"seesaw/internal/trace"
 	"seesaw/internal/units"
@@ -61,21 +60,10 @@ type Config struct {
 	// Noise configures node variability; zero values give a
 	// deterministic run.
 	Noise machine.NoiseModel
-	// Machine is the full-node performance model (DefaultModel if
-	// zero); time-shared stages run on halved copies. With Classes set
-	// it describes the default class.
-	Machine machine.Model
-	// Rapl is the full-node RAPL configuration (Theta if zero); with
-	// Classes set it describes the default class.
-	Rapl rapl.Config
 	// Classes assigns device classes to world ranks (machine.ClassMap
 	// grammar); nil keeps the cluster homogeneous. On time-shared
 	// placements a rank's class composes with its half-node scale.
 	Classes *machine.ClassMap
-	// ClassRegistry optionally overrides the built-in class presets.
-	ClassRegistry map[string]machine.Class
-	// Cost is the communication cost model (DefaultCost if zero).
-	Cost mpi.CostModel
 	// Telemetry, when non-nil, receives metrics and structured events
 	// from every rank, including the workflow-level StageStart/StageEnd
 	// and TransferVolume events. Nil disables instrumentation at no
@@ -98,11 +86,6 @@ func (c *Config) normalize(plan *Plan) error {
 	}
 	if c.Policy == nil {
 		c.Policy = core.NewStatic()
-	}
-	// Machine/Rapl zero-value defaults are owned by cluster.Config.Defaults,
-	// the one normalization step shared by every driver.
-	if c.Cost == (mpi.CostModel{}) {
-		c.Cost = mpi.DefaultCost()
 	}
 	return c.Constraints.Validate(plan.NWorld)
 }
@@ -128,8 +111,8 @@ type Result struct {
 	TotalEnergy units.Joules
 	// OverheadTotal is the root's cumulative allocator overhead.
 	OverheadTotal units.Seconds
-	// StageBusy is each stage's maximum per-rank busy time (generic
-	// program stages only; custom bodies do their own accounting).
+	// StageBusy is each stage's maximum per-rank busy time: the
+	// phases its ranks ran through RankCtx.RunPhase.
 	StageBusy map[string]units.Seconds
 	// TransferBytes is the total modeled volume shipped over graph
 	// edges; TransferSeconds is the total producer time spent in
@@ -166,20 +149,9 @@ type RankCtx struct {
 	xferB int64
 }
 
-// StageName returns the owning stage's name.
-func (rc *RankCtx) StageName() string { return rc.st.Name }
-
-// Scale returns the rank's physical-node fraction (0.5 under a
-// time-shared placement, else 1).
-func (rc *RankCtx) Scale() float64 { return rc.st.scale }
-
 // OutDest returns the consumer world rank of the stage's i-th outgoing
 // edge for this rank (insitu's pairedAnaRank, generalized).
 func (rc *RankCtx) OutDest(i int) int { return rc.st.outs[i].dst[rc.StageRank] }
-
-// InSources returns the producer world ranks of the stage's i-th
-// incoming edge for this rank, ascending.
-func (rc *RankCtx) InSources(i int) []int { return rc.st.ins[i].sources[rc.StageRank] }
 
 // ApplyFaults advances this rank's node through the fault plan at the
 // given 1-based synchronization index, right before the power
@@ -191,23 +163,28 @@ func (rc *RankCtx) ApplyFaults(sync int) {
 	}
 }
 
-// runPhases executes phases on the rank's node, scaled to its placement
-// (half power, doubled nominal time on a half-node), advancing the
-// virtual clock and the rank's busy accounting.
+// RunPhase executes one full-node phase on the rank's node, scaled to
+// its placement (half the power envelope and twice the nominal time on
+// a time-shared half-node), advancing the virtual clock and the rank's
+// busy accounting. A phase with no nominal time is skipped.
+func (rc *RankCtx) RunPhase(ph machine.Phase) {
+	if s := rc.st.scale; s != 1 {
+		ph.Nominal = units.Seconds(float64(ph.Nominal) / s)
+		ph.Demand = units.Watts(float64(ph.Demand) * s)
+		ph.Saturation = units.Watts(float64(ph.Saturation) * s)
+	}
+	if ph.Nominal <= 0 {
+		return
+	}
+	exec := rc.Node.Run(ph, rc.cfg.Noise)
+	rc.Rank.Elapse(exec.Duration)
+	rc.busy += exec.Duration
+}
+
+// runPhases runs each phase through RunPhase.
 func (rc *RankCtx) runPhases(phases []machine.Phase) {
 	for _, ph := range phases {
-		if rc.st.scale != 1 {
-			s := rc.st.scale
-			ph.Nominal = units.Seconds(float64(ph.Nominal) / s)
-			ph.Demand = units.Watts(float64(ph.Demand) * s)
-			ph.Saturation = units.Watts(float64(ph.Saturation) * s)
-		}
-		if ph.Nominal <= 0 {
-			continue
-		}
-		exec := rc.Node.Run(ph, rc.cfg.Noise)
-		rc.Rank.Elapse(exec.Duration)
-		rc.busy += exec.Duration
+		rc.RunPhase(ph)
 	}
 }
 
@@ -224,13 +201,13 @@ func (rc *RankCtx) StageTransfer(i, sync int) {
 	var xfer units.Seconds
 	if out.Transfer != nil {
 		busyBefore := rc.busy
-		rc.runPhases([]machine.Phase{{
+		rc.RunPhase(machine.Phase{
 			Name:        "transfer",
 			Nominal:     out.Transfer.Time(out.BytesPerRank),
 			Demand:      transferDemand,
 			Saturation:  transferSaturation,
 			Sensitivity: transferSens,
-		}})
+		})
 		xfer = rc.busy - busyBefore
 		rc.xferS += xfer
 	}
@@ -254,18 +231,15 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	even := core.EvenSplit(cfg.Constraints, plan.NWorld)
 
 	cl, err := cluster.New(cluster.Config{
-		SimNodes:      plan.SimNodes,
-		AnaNodes:      plan.AnaNodes,
-		Rapl:          cfg.Rapl,
-		Machine:       cfg.Machine,
-		Noise:         cfg.Noise,
-		Classes:       cfg.Classes,
-		ClassRegistry: cfg.ClassRegistry,
-		JobSeed:       cfg.Seed,
-		RunSeed:       cfg.RunSeed,
-		Faults:        cfg.Faults,
-		Telemetry:     cfg.Telemetry,
-		Scales:        plan.Scales,
+		SimNodes:  plan.SimNodes,
+		AnaNodes:  plan.AnaNodes,
+		Noise:     cfg.Noise,
+		Classes:   cfg.Classes,
+		JobSeed:   cfg.Seed,
+		RunSeed:   cfg.RunSeed,
+		Faults:    cfg.Faults,
+		Telemetry: cfg.Telemetry,
+		Scales:    plan.Scales,
 	})
 	if err != nil {
 		return nil, err
@@ -287,7 +261,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	rankXferS := make([]units.Seconds, plan.NWorld)
 	rankXferB := make([]int64, plan.NWorld)
 
-	err = mpi.RunContext(ctx, plan.NWorld, cfg.Cost, cfg.Telemetry, func(r *mpi.Rank) {
+	err = mpi.RunContext(ctx, plan.NWorld, mpi.DefaultCost(), cfg.Telemetry, func(r *mpi.Rank) {
 		st := plan.stageFor(r.WorldRank())
 		role := cl.Role(r.WorldRank())
 		node := cl.Node(r.WorldRank())
