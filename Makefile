@@ -51,6 +51,7 @@ bench-scale-smoke:
 	$(GO) test -run xxx -bench 'BenchmarkRollouts/nodes=256' -benchtime 1x ./internal/rollout/
 	$(GO) test -run xxx -bench 'BenchmarkHetero/nodes=256' -benchtime 1x ./internal/cosim/
 	$(GO) test -run xxx -bench . -benchtime 1x ./internal/telemetry/
+	$(GO) test -run xxx -bench 'BenchmarkBuildNeighbors|BenchmarkComputeForces' -benchtime 1x ./internal/lammps/
 
 # memo-golden-smoke pins at the CLI that observing does not change a
 # result: the same small search grid, fault-free (memoized noise) and

@@ -1,6 +1,7 @@
 package lammps
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -140,44 +141,62 @@ func TestSpeciesAssignment(t *testing.T) {
 	}
 }
 
+// TestNeighborListMatchesBruteForce checks the cell-list half list
+// against every pair, on a box whose 27-cell stencil reaches every cell
+// (3 cells per side) and on one where it prunes (4 per side).
 func TestNeighborListMatchesBruteForce(t *testing.T) {
-	cfg := DefaultConfig() // 512 atoms: cell-list path
-	s := MustNew(cfg)
-	rc := cfg.Cutoff + cfg.Skin
-	rc2 := rc * rc
+	for _, atoms := range []int{512, 1200} {
+		t.Run(fmt.Sprintf("atoms=%d", atoms), func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.Atoms = atoms
+			s := MustNew(cfg)
+			rc := cfg.Cutoff + cfg.Skin
+			if int(s.Box/rc) < 3 {
+				t.Fatalf("box %.2f takes the brute-force path", s.Box)
+			}
+			rc2 := rc * rc
 
-	// Collect cell-list pairs.
-	listPairs := map[[2]int]bool{}
-	for i := 0; i < s.N; i++ {
-		for k := s.nbrHead[i]; k < s.nbrHead[i+1]; k++ {
-			j := int(s.nbrList[k])
-			a, b := i, j
-			if a > b {
-				a, b = b, a
+			// Collect cell-list pairs.
+			listPairs := map[[2]int]bool{}
+			var dup int
+			for i := 0; i < s.N; i++ {
+				for k := s.nbrHead[i]; k < s.nbrHead[i+1]; k++ {
+					j := int(s.nbrList[k])
+					a, b := i, j
+					if a > b {
+						a, b = b, a
+					}
+					if listPairs[[2]int{a, b}] {
+						dup++
+					}
+					listPairs[[2]int{a, b}] = true
+				}
 			}
-			listPairs[[2]int{a, b}] = true
-		}
-	}
-	// Brute-force pairs.
-	var missing, extra int
-	for i := 0; i < s.N; i++ {
-		for j := i + 1; j < s.N; j++ {
-			d := s.minimumImage(s.Pos[i].Sub(s.Pos[j]))
-			within := d.Norm2() < rc2
-			inList := listPairs[[2]int{i, j}]
-			if within && !inList {
-				missing++
+			// Brute-force pairs.
+			var missing, extra int
+			for i := 0; i < s.N; i++ {
+				for j := i + 1; j < s.N; j++ {
+					d := s.minimumImage(s.Pos[i].Sub(s.Pos[j]))
+					within := d.Norm2() < rc2
+					inList := listPairs[[2]int{i, j}]
+					if within && !inList {
+						missing++
+					}
+					if !within && inList {
+						extra++
+					}
+				}
 			}
-			if !within && inList {
-				extra++
+			if missing > 0 {
+				t.Errorf("%d in-range pairs missing from neighbor list", missing)
 			}
-		}
-	}
-	if missing > 0 {
-		t.Errorf("%d in-range pairs missing from neighbor list", missing)
-	}
-	if extra > 0 {
-		t.Errorf("%d out-of-range pairs present in neighbor list", extra)
+			if extra > 0 {
+				t.Errorf("%d out-of-range pairs present in neighbor list", extra)
+			}
+			if dup > 0 {
+				t.Errorf("%d pairs listed twice", dup)
+			}
+		})
 	}
 }
 
