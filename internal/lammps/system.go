@@ -139,6 +139,13 @@ type System struct {
 	nbrList []int32
 	lastPos []Vec3 // positions at last rebuild (for skin check)
 
+	// Cell-list scratch, kept so a rebuild after the first allocates
+	// nothing: each cell's chain head, each atom's next atom in its
+	// cell's chain, and each atom's cell.
+	heads []int32
+	next  []int32
+	cell  []int32
+
 	step   int
 	pe     float64 // potential energy from last force evaluation
 	virial float64 // sum of r . F over pairs, from last force evaluation
@@ -316,8 +323,25 @@ func (s *System) NeedsRebuild() bool {
 	return false
 }
 
+// imageDist adjusts one displacement component to the nearest periodic
+// image, the per-component step of minimumImage.
+func imageDist(d, half, box float64) float64 {
+	if d > half {
+		d -= box
+	} else if d < -half {
+		d += box
+	}
+	return d
+}
+
 // BuildNeighbors reconstructs the Verlet half-list using a cell list
 // (the communication-intensive "update neighbor lists" phase, step 5).
+//
+// The pair loop holds coordinates in scalar locals: a Vec3 is an array,
+// which the compiler keeps in memory, so the Vec3 methods would take
+// every component through the stack. Atoms are pushed onto their cell's
+// chain in increasing index order, so every chain runs in descending
+// index order and the walk for atom i ends at the first j <= i.
 func (s *System) BuildNeighbors() WorkCount {
 	rc := s.cfg.Cutoff + s.cfg.Skin
 	rc2 := rc * rc
@@ -331,55 +355,51 @@ func (s *System) BuildNeighbors() WorkCount {
 
 	// Bin atoms into cells.
 	nc3 := ncell * ncell * ncell
-	heads := make([]int32, nc3)
+	if len(s.heads) != nc3 {
+		s.heads = make([]int32, nc3)
+		s.next = make([]int32, s.N)
+		s.cell = make([]int32, s.N)
+	}
+	heads, next, cell := s.heads, s.next, s.cell
 	for i := range heads {
 		heads[i] = -1
 	}
-	next := make([]int32, s.N)
-	cellOf := func(p Vec3) int {
-		cx := int(p[0] / cellSize)
-		cy := int(p[1] / cellSize)
-		cz := int(p[2] / cellSize)
-		if cx >= ncell {
-			cx = ncell - 1
+	cellCoord := func(x float64) int {
+		c := int(x / cellSize)
+		if c >= ncell {
+			c = ncell - 1
 		}
-		if cy >= ncell {
-			cy = ncell - 1
-		}
-		if cz >= ncell {
-			cz = ncell - 1
-		}
-		return (cx*ncell+cy)*ncell + cz
+		return c
 	}
 	for i := 0; i < s.N; i++ {
-		c := cellOf(s.Pos[i])
+		p := &s.Pos[i]
+		c := (cellCoord(p[0])*ncell+cellCoord(p[1]))*ncell + cellCoord(p[2])
+		cell[i] = int32(c)
 		next[i] = heads[c]
 		heads[c] = int32(i)
 	}
-
+	box, half := s.Box, s.Box/2
 	s.nbrList = s.nbrList[:0]
-	var ops float64
+	ops := 0
 	for i := 0; i < s.N; i++ {
 		s.nbrHead[i] = len(s.nbrList)
-		pi := s.Pos[i]
-		ci := cellOf(pi)
+		xi, yi, zi := s.Pos[i][0], s.Pos[i][1], s.Pos[i][2]
+		ci := int(cell[i])
 		cx := ci / (ncell * ncell)
 		cy := (ci / ncell) % ncell
 		cz := ci % ncell
 		for dx := -1; dx <= 1; dx++ {
+			nx := (cx + dx + ncell) % ncell
 			for dy := -1; dy <= 1; dy++ {
+				nxy := (nx*ncell + (cy+dy+ncell)%ncell) * ncell
 				for dz := -1; dz <= 1; dz++ {
-					nx := (cx + dx + ncell) % ncell
-					ny := (cy + dy + ncell) % ncell
-					nz := (cz + dz + ncell) % ncell
-					c := (nx*ncell+ny)*ncell + nz
-					for j := heads[c]; j >= 0; j = next[j] {
-						if int(j) <= i {
-							continue
-						}
+					for j := heads[nxy+(cz+dz+ncell)%ncell]; int(j) > i; j = next[j] {
 						ops++
-						d := s.minimumImage(pi.Sub(s.Pos[j]))
-						if d.Norm2() < rc2 {
+						pj := &s.Pos[j]
+						ddx := imageDist(xi-pj[0], half, box)
+						ddy := imageDist(yi-pj[1], half, box)
+						ddz := imageDist(zi-pj[2], half, box)
+						if ddx*ddx+ddy*ddy+ddz*ddz < rc2 {
 							s.nbrList = append(s.nbrList, j)
 						}
 					}
@@ -391,7 +411,7 @@ func (s *System) BuildNeighbors() WorkCount {
 	copy(s.lastPos, s.Pos)
 	// Neighbor rebuilds imply halo position exchange: ~24 bytes/atom of
 	// boundary traffic.
-	return WorkCount{Ops: ops, Bytes: s.N * 24}
+	return WorkCount{Ops: float64(ops), Bytes: s.N * 24}
 }
 
 // buildNeighborsBrute is the O(N^2) neighbor build used when the box is
@@ -416,7 +436,10 @@ func (s *System) buildNeighborsBrute(rc2 float64) WorkCount {
 }
 
 // ComputeForces evaluates truncated, shifted Lennard-Jones forces over
-// the Verlet list (step 6), returning the pair-evaluation work.
+// the Verlet list (step 6), returning the pair-evaluation work. Like
+// BuildNeighbors, it holds coordinates, displacements and forces in
+// scalar locals, with each expression in the shape of the Vec3 method it
+// stands for.
 func (s *System) ComputeForces() WorkCount {
 	rc2 := s.cfg.Cutoff * s.cfg.Cutoff
 	// Potential shift so U(rc) = 0.
@@ -427,16 +450,20 @@ func (s *System) ComputeForces() WorkCount {
 	for i := range s.Force {
 		s.Force[i] = Vec3{}
 	}
+	box, half := s.Box, s.Box/2
 	var pe, virial float64
-	var ops float64
+	ops := 0
 	for i := 0; i < s.N; i++ {
-		fi := s.Force[i]
-		pi := s.Pos[i]
-		for k := s.nbrHead[i]; k < s.nbrHead[i+1]; k++ {
-			j := s.nbrList[k]
-			ops++
-			d := s.minimumImage(pi.Sub(s.Pos[j]))
-			r2 := d.Norm2()
+		fx, fy, fz := s.Force[i][0], s.Force[i][1], s.Force[i][2]
+		xi, yi, zi := s.Pos[i][0], s.Pos[i][1], s.Pos[i][2]
+		nbrs := s.nbrList[s.nbrHead[i]:s.nbrHead[i+1]]
+		ops += len(nbrs)
+		for _, j := range nbrs {
+			pj := &s.Pos[j]
+			dx := imageDist(xi-pj[0], half, box)
+			dy := imageDist(yi-pj[1], half, box)
+			dz := imageDist(zi-pj[2], half, box)
+			r2 := dx*dx + dy*dy + dz*dz
 			if r2 >= rc2 || r2 == 0 {
 				continue
 			}
@@ -444,17 +471,18 @@ func (s *System) ComputeForces() WorkCount {
 			ir6 := ir2 * ir2 * ir2
 			// F = 24 eps (2 (sigma/r)^12 - (sigma/r)^6) / r^2 * d
 			fmag := 24 * ir2 * ir6 * (2*ir6 - 1)
-			fv := d.Scale(fmag)
-			fi = fi.Add(fv)
-			s.Force[j] = s.Force[j].Sub(fv)
+			fvx, fvy, fvz := dx*fmag, dy*fmag, dz*fmag
+			fx, fy, fz = fx+fvx, fy+fvy, fz+fvz
+			fj := &s.Force[j]
+			fj[0], fj[1], fj[2] = fj[0]-fvx, fj[1]-fvy, fj[2]-fvz
 			pe += 4*(ir6*ir6-ir6) - shift
-			virial += d.Dot(fv)
+			virial += dx*fvx + dy*fvy + dz*fvz
 		}
-		s.Force[i] = fi
+		s.Force[i] = Vec3{fx, fy, fz}
 	}
 	s.pe = pe
 	s.virial = virial
-	return WorkCount{Ops: ops}
+	return WorkCount{Ops: float64(ops)}
 }
 
 // Pressure returns the instantaneous reduced pressure from the virial
