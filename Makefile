@@ -74,15 +74,23 @@ memo-golden-smoke:
 	rm -f "$$tmp/seesaw-memo-on.txt" "$$tmp/seesaw-telemetry.txt" "$$tmp/ev.jsonl"; \
 	echo "memo golden smoke ok: memoized and instrumented reports are byte-identical"
 
-# cli-smoke pins two CLI routing rules. `trace -topology space-shared`
-# runs the classic driver, as the default does, so the two print
-# byte-identical CSV. A job file with a topology honours cap_mode: an
-# in-transit job with "long+short" runs, and one with "none" exits
-# non-zero, because the workflow engine always installs caps.
+# cli-smoke pins two CLI routing rules and one input check. `trace
+# -topology space-shared` runs the classic driver, as the default does,
+# so the two print byte-identical CSV. A job file with a topology
+# honours cap_mode: an in-transit job with "long+short" runs, and one
+# with "none" exits non-zero, because the workflow engine always
+# installs caps. `mdrun -dump FILE -dump-every 0` exits 1 with an
+# error, not a panic.
 cli-smoke:
-	@tmp="$${TMPDIR:-/tmp}"; bin="$$tmp/seesawctl-cli-smoke"; \
+	@tmp="$${TMPDIR:-/tmp}"; bin="$$tmp/seesawctl-cli-smoke"; mdbin="$$tmp/mdrun-cli-smoke"; \
 	job='{"nodes": 8, "dim": 8, "steps": 6, "analyses": [{"name": "msd1d"}], "topology": "in-transit", "cap_mode": '; \
 	$(GO) build -o "$$bin" ./cmd/seesawctl || exit 1; \
+	$(GO) build -o "$$mdbin" ./cmd/mdrun || exit 1; \
+	"$$mdbin" -equil 0 -steps 2 -dump "$$tmp/mdrun-cli-smoke.xyz" -dump-every 0 > /dev/null 2> "$$tmp/mdrun-cli-smoke.err"; \
+	code=$$?; \
+	if [ "$$code" -ne 1 ] || grep -q panic "$$tmp/mdrun-cli-smoke.err"; then \
+		echo "mdrun -dump-every 0 exited $$code, want 1 without a panic:"; head -5 "$$tmp/mdrun-cli-smoke.err"; exit 1; \
+	fi; \
 	"$$bin" trace -nodes 8 -steps 20 > "$$tmp/seesaw-trace-default.csv" || exit 1; \
 	"$$bin" trace -nodes 8 -steps 20 -topology space-shared > "$$tmp/seesaw-trace-space-shared.csv" || exit 1; \
 	if ! cmp -s "$$tmp/seesaw-trace-default.csv" "$$tmp/seesaw-trace-space-shared.csv"; then \
@@ -95,9 +103,10 @@ cli-smoke:
 	if "$$bin" job "$$tmp/seesaw-job-none.json" > /dev/null 2>&1; then \
 		echo 'in-transit job with cap_mode "none" was accepted'; exit 1; \
 	fi; \
-	rm -f "$$bin" "$$tmp/seesaw-trace-default.csv" "$$tmp/seesaw-trace-space-shared.csv" \
-		"$$tmp/seesaw-job-long-short.json" "$$tmp/seesaw-job-none.json"; \
-	echo "cli smoke ok: trace space-shared matches the default driver; topology jobs honour cap_mode"
+	rm -f "$$bin" "$$mdbin" "$$tmp/seesaw-trace-default.csv" "$$tmp/seesaw-trace-space-shared.csv" \
+		"$$tmp/seesaw-job-long-short.json" "$$tmp/seesaw-job-none.json" \
+		"$$tmp/mdrun-cli-smoke.xyz" "$$tmp/mdrun-cli-smoke.err"; \
+	echo "cli smoke ok: trace space-shared matches the default driver; topology jobs honour cap_mode; mdrun rejects -dump-every 0"
 
 # batch-race-smoke runs one 256-node batched grid sweep under the race
 # detector: the per-worker pooled episodes, the shared trace cache and

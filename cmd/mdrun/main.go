@@ -33,6 +33,9 @@ func main() {
 	dumpEvery := flag.Int("dump-every", 20, "trajectory dump interval")
 	seed := flag.Uint64("seed", 1, "initialization seed")
 	flag.Parse()
+	if *dump != "" && *dumpEvery < 1 {
+		log.Fatalf("mdrun: -dump-every must be at least 1, got %d", *dumpEvery)
+	}
 
 	cfg := lammps.DefaultConfig()
 	cfg.Atoms = *atoms
@@ -67,19 +70,17 @@ func main() {
 		log.Fatal(err)
 	}
 
+	var dumpF *os.File
 	var dumpW *bufio.Writer
 	if *dump != "" {
-		f, err := os.Create(*dump)
+		dumpF, err = os.Create(*dump)
 		if err != nil {
 			log.Fatal(err)
 		}
-		defer f.Close()
-		dumpW = bufio.NewWriter(f)
-		defer dumpW.Flush()
+		dumpW = bufio.NewWriter(dumpF)
 	}
 
 	out := bufio.NewWriter(os.Stdout)
-	defer out.Flush()
 	if *thermoEvery > 0 {
 		if err := lammps.WriteThermoHeader(out); err != nil {
 			log.Fatal(err)
@@ -102,6 +103,17 @@ func main() {
 			}
 		},
 	})
+	if dumpW != nil {
+		if err := dumpW.Flush(); err != nil {
+			log.Fatal(err)
+		}
+		if err := dumpF.Close(); err != nil {
+			log.Fatal(err)
+		}
+	}
+	if err := out.Flush(); err != nil {
+		log.Fatal(err)
+	}
 	fmt.Fprintf(os.Stderr, "mdrun: done; final T*=%.3f P*=%.3f E=%.2f\n",
 		sys.Temperature(), sys.Pressure(), sys.TotalEnergy())
 }

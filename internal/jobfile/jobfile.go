@@ -335,12 +335,14 @@ func (j *Job) BuildWorkflow() (workflow.Config, error) {
 	if err != nil {
 		return workflow.Config{}, err
 	}
+	// Initial caps are given per physical node, like the cap range;
+	// where ranks own partial-node domains they scale the same way.
 	caps := map[string]units.Watts{}
 	if j.InitialSimCapW != 0 {
-		caps["sim"] = units.Watts(j.InitialSimCapW)
+		caps["sim"] = units.Watts(j.InitialSimCapW * topo.ConstraintScale)
 	}
 	if j.InitialAnaCapW != 0 {
-		caps["ana"] = units.Watts(j.InitialAnaCapW)
+		caps["ana"] = units.Watts(j.InitialAnaCapW * topo.ConstraintScale)
 	}
 	return workflow.Config{
 		Graph:        topo.Graph,

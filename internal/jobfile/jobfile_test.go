@@ -10,6 +10,7 @@ import (
 
 	"seesaw/internal/cosim"
 	"seesaw/internal/policy"
+	"seesaw/internal/units"
 	"seesaw/internal/workflow"
 )
 
@@ -127,6 +128,51 @@ func TestBuildWorkflowCapModes(t *testing.T) {
 	}
 	if _, err := build("none"); err == nil || !strings.Contains(err.Error(), "in-transit") {
 		t.Errorf(`cap_mode "none" on in-transit: err = %v, want an error naming the topology`, err)
+	}
+}
+
+// TestBuildWorkflowScalesInitialCaps pins that a job file's initial
+// caps, given per physical node, scale with the topology's power
+// domains as the cap range does: on a time-shared job each rank owns a
+// half-node domain, so 120/100 W become 60/50 W, and a static run keeps
+// its ranks there.
+func TestBuildWorkflowScalesInitialCaps(t *testing.T) {
+	for _, tc := range []struct {
+		topology string
+		sim, ana units.Watts
+	}{
+		{"space-shared", 120, 100},
+		{"in-transit", 120, 100},
+		{"time-shared", 60, 50},
+	} {
+		t.Run(tc.topology, func(t *testing.T) {
+			j, err := Load(strings.NewReader(`{"nodes": 8, "dim": 8, "steps": 4, "analyses": [{"name":"msd1d"}],
+				"topology": "` + tc.topology + `", "initial_sim_cap_w": 120, "initial_ana_cap_w": 100}`))
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg, err := j.BuildWorkflow()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := cfg.InitialCaps["sim"]; got != tc.sim {
+				t.Errorf("initial sim cap = %v, want %v", got, tc.sim)
+			}
+			if got := cfg.InitialCaps["ana"]; got != tc.ana {
+				t.Errorf("initial ana cap = %v, want %v", got, tc.ana)
+			}
+			if tc.topology != "time-shared" {
+				return
+			}
+			res, err := workflow.Run(context.Background(), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			last := res.SyncLog.Records[res.SyncLog.Len()-1]
+			if last.SimCap != tc.sim || last.AnaCap != tc.ana {
+				t.Errorf("static run ended at caps %v/%v, want %v/%v", last.SimCap, last.AnaCap, tc.sim, tc.ana)
+			}
+		})
 	}
 }
 

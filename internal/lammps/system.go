@@ -86,13 +86,28 @@ func DefaultConfig() Config {
 	}
 }
 
-// Validate reports configuration errors.
+// Validate reports configuration errors. Every float field must be
+// finite; a zero temperature is a cold start.
 func (c Config) Validate() error {
 	if c.Atoms < 2 {
 		return fmt.Errorf("lammps: need at least 2 atoms, got %d", c.Atoms)
 	}
+	for _, f := range [...]struct {
+		name string
+		v    float64
+	}{
+		{"density", c.Density}, {"temperature", c.Temp}, {"timestep", c.Dt},
+		{"cutoff", c.Cutoff}, {"skin", c.Skin}, {"ion fraction", c.IonFraction},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("lammps: %s must be finite, got %g", f.name, f.v)
+		}
+	}
 	if c.Density <= 0 {
 		return fmt.Errorf("lammps: density must be positive, got %g", c.Density)
+	}
+	if c.Temp < 0 {
+		return fmt.Errorf("lammps: temperature must not be negative, got %g", c.Temp)
 	}
 	if c.Dt <= 0 {
 		return fmt.Errorf("lammps: timestep must be positive, got %g", c.Dt)

@@ -31,6 +31,15 @@ func TestConfigValidation(t *testing.T) {
 		{Atoms: 100, Density: 0.8, Temp: 1, Dt: 0, Cutoff: 2.5},
 		{Atoms: 100, Density: 0.8, Temp: 1, Dt: 0.005, Cutoff: -1},
 		{Atoms: 100, Density: 0.8, Temp: 1, Dt: 0.005, Cutoff: 2.5, IonFraction: 0.9},
+		{Atoms: 100, Density: math.NaN(), Temp: 1, Dt: 0.005, Cutoff: 2.5},
+		{Atoms: 100, Density: math.Inf(1), Temp: 1, Dt: 0.005, Cutoff: 2.5},
+		{Atoms: 100, Density: 0.8, Temp: math.NaN(), Dt: 0.005, Cutoff: 2.5},
+		{Atoms: 100, Density: 0.8, Temp: math.Inf(1), Dt: 0.005, Cutoff: 2.5},
+		{Atoms: 100, Density: 0.8, Temp: -1, Dt: 0.005, Cutoff: 2.5},
+		{Atoms: 100, Density: 0.8, Temp: 1, Dt: math.Inf(1), Cutoff: 2.5},
+		{Atoms: 100, Density: 0.8, Temp: 1, Dt: 0.005, Cutoff: math.NaN()},
+		{Atoms: 100, Density: 0.8, Temp: 1, Dt: 0.005, Cutoff: 2.5, Skin: math.Inf(1)},
+		{Atoms: 100, Density: 0.8, Temp: 1, Dt: 0.005, Cutoff: 2.5, IonFraction: math.NaN()},
 	}
 	for i, cfg := range bad {
 		if err := cfg.Validate(); err == nil {
@@ -39,6 +48,11 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if err := DefaultConfig().Validate(); err != nil {
 		t.Errorf("default config invalid: %v", err)
+	}
+	cold := DefaultConfig()
+	cold.Temp = 0
+	if err := cold.Validate(); err != nil {
+		t.Errorf("cold start invalid: %v", err)
 	}
 }
 
