@@ -516,7 +516,7 @@ const bytesSecPerByte = 1.0e-7
 // simPhases characterizes the LAMMPS phases (Section V): compute phases
 // saturate near 140 W per node; communication/IO phases draw little and
 // gain almost nothing from power. The work-to-time constants are
-// calibrated so the default 256-atom sub-box — a miniature stand-in for
+// calibrated so the default 512-atom sub-box — a miniature stand-in for
 // the ~100k atoms per Theta node at dim=16 — yields the paper's ~4 s
 // between synchronizations (Figure 4d); the sub-box physics is real, the
 // constants absorb the scale factor.

@@ -56,6 +56,9 @@ type Job struct {
 	Policy string `json:"policy,omitempty"`
 	Window int    `json:"window,omitempty"`
 
+	// The caps are watts per physical node. A topology whose ranks own
+	// partial-node domains (time-shared) scales the initial caps and
+	// the cap range to them; the budget stays the machine's.
 	CapPerNodeW    float64 `json:"cap_per_node_w,omitempty"`
 	InitialSimCapW float64 `json:"initial_sim_cap_w,omitempty"`
 	InitialAnaCapW float64 `json:"initial_ana_cap_w,omitempty"`

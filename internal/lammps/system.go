@@ -290,12 +290,19 @@ func (s *System) wrap(x float64) float64 {
 // periodic image.
 func (s *System) minimumImage(d Vec3) Vec3 {
 	half := s.Box / 2
-	for k := 0; k < 3; k++ {
-		if d[k] > half {
-			d[k] -= s.Box
-		} else if d[k] < -half {
-			d[k] += s.Box
-		}
+	for k := range d {
+		d[k] = imageDist(d[k], half, s.Box)
+	}
+	return d
+}
+
+// imageDist adjusts one displacement component to the nearest periodic
+// image.
+func imageDist(d, half, box float64) float64 {
+	if d > half {
+		d -= box
+	} else if d < -half {
+		d += box
 	}
 	return d
 }
@@ -336,17 +343,6 @@ func (s *System) NeedsRebuild() bool {
 		}
 	}
 	return false
-}
-
-// imageDist adjusts one displacement component to the nearest periodic
-// image, the per-component step of minimumImage.
-func imageDist(d, half, box float64) float64 {
-	if d > half {
-		d -= box
-	} else if d < -half {
-		d += box
-	}
-	return d
 }
 
 // BuildNeighbors reconstructs the Verlet half-list using a cell list
