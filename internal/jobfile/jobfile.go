@@ -338,8 +338,7 @@ func (j *Job) BuildWorkflow() (workflow.Config, error) {
 	if err != nil {
 		return workflow.Config{}, err
 	}
-	// Initial caps are given per physical node, like the cap range;
-	// where ranks own partial-node domains they scale the same way.
+	// Like the cap range, the initial caps scale to the ranks' domains.
 	caps := map[string]units.Watts{}
 	if j.InitialSimCapW != 0 {
 		caps["sim"] = units.Watts(j.InitialSimCapW * topo.ConstraintScale)

@@ -350,9 +350,11 @@ func (s *System) NeedsRebuild() bool {
 //
 // The pair loop holds coordinates in scalar locals: a Vec3 is an array,
 // which the compiler keeps in memory, so the Vec3 methods would take
-// every component through the stack. Atoms are pushed onto their cell's
-// chain in increasing index order, so every chain runs in descending
-// index order and the walk for atom i ends at the first j <= i.
+// every component through the stack. Each expression keeps the shape of
+// the method it stands for, so the results keep their bits
+// (TestTrajectoryDigests). Atoms are pushed onto their cell's chain in
+// increasing index order, so every chain runs in descending index order
+// and the walk for atom i ends at the first j <= i.
 func (s *System) BuildNeighbors() WorkCount {
 	rc := s.cfg.Cutoff + s.cfg.Skin
 	rc2 := rc * rc
@@ -389,6 +391,7 @@ func (s *System) BuildNeighbors() WorkCount {
 		next[i] = heads[c]
 		heads[c] = int32(i)
 	}
+
 	box, half := s.Box, s.Box/2
 	s.nbrList = s.nbrList[:0]
 	ops := 0
@@ -449,7 +452,7 @@ func (s *System) buildNeighborsBrute(rc2 float64) WorkCount {
 // ComputeForces evaluates truncated, shifted Lennard-Jones forces over
 // the Verlet list (step 6), returning the pair-evaluation work. Like
 // BuildNeighbors, it holds coordinates, displacements and forces in
-// scalar locals, with each expression in the shape of the Vec3 method it
+// scalar locals, each expression in the shape of the Vec3 method it
 // stands for.
 func (s *System) ComputeForces() WorkCount {
 	rc2 := s.cfg.Cutoff * s.cfg.Cutoff
