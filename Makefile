@@ -42,8 +42,7 @@ race:
 
 # bench-scale-smoke runs every scale benchmark for one iteration — a
 # correctness gate (part of `make check`), not a measurement. CI runs
-# it at GOMAXPROCS=1 (via `make check`) and again at GOMAXPROCS=4 so
-# the striped/lock-free paths see real parallelism.
+# it once, at the runner's default GOMAXPROCS.
 bench-scale-smoke:
 	$(GO) test -run xxx -bench . -benchtime 1x ./internal/mpi/
 	$(GO) test -run xxx -bench 'BenchmarkInsituScale/nodes=256' -benchtime 1x ./internal/insitu/
@@ -74,13 +73,14 @@ memo-golden-smoke:
 	rm -f "$$tmp/seesaw-memo-on.txt" "$$tmp/seesaw-telemetry.txt" "$$tmp/ev.jsonl"; \
 	echo "memo golden smoke ok: memoized and instrumented reports are byte-identical"
 
-# cli-smoke pins two CLI routing rules and one input check. `trace
+# cli-smoke pins two CLI routing rules and two input checks. `trace
 # -topology space-shared` runs the classic driver, as the default does,
 # so the two print byte-identical CSV. A job file with a topology
 # honours cap_mode: an in-transit job with "long+short" runs, and one
 # with "none" exits non-zero, because the workflow engine always
 # installs caps. `mdrun -dump FILE -dump-every 0` exits 1 with an
-# error, not a panic.
+# error, not a panic, and `mdrun -temp 0` (a cold start, equilibrated
+# at zero temperature) exits 0.
 cli-smoke:
 	@tmp="$${TMPDIR:-/tmp}"; bin="$$tmp/seesawctl-cli-smoke"; mdbin="$$tmp/mdrun-cli-smoke"; \
 	job='{"nodes": 8, "dim": 8, "steps": 6, "analyses": [{"name": "msd1d"}], "topology": "in-transit", "cap_mode": '; \
@@ -91,6 +91,7 @@ cli-smoke:
 	if [ "$$code" -ne 1 ] || grep -q panic "$$tmp/mdrun-cli-smoke.err"; then \
 		echo "mdrun -dump-every 0 exited $$code, want 1 without a panic:"; head -5 "$$tmp/mdrun-cli-smoke.err"; exit 1; \
 	fi; \
+	"$$mdbin" -temp 0 -steps 1 > /dev/null || { echo "mdrun -temp 0 failed"; exit 1; }; \
 	"$$bin" trace -nodes 8 -steps 20 > "$$tmp/seesaw-trace-default.csv" || exit 1; \
 	"$$bin" trace -nodes 8 -steps 20 -topology space-shared > "$$tmp/seesaw-trace-space-shared.csv" || exit 1; \
 	if ! cmp -s "$$tmp/seesaw-trace-default.csv" "$$tmp/seesaw-trace-space-shared.csv"; then \
@@ -106,7 +107,7 @@ cli-smoke:
 	rm -f "$$bin" "$$mdbin" "$$tmp/seesaw-trace-default.csv" "$$tmp/seesaw-trace-space-shared.csv" \
 		"$$tmp/seesaw-job-long-short.json" "$$tmp/seesaw-job-none.json" \
 		"$$tmp/mdrun-cli-smoke.xyz" "$$tmp/mdrun-cli-smoke.err"; \
-	echo "cli smoke ok: trace space-shared matches the default driver; topology jobs honour cap_mode; mdrun rejects -dump-every 0"
+	echo "cli smoke ok: trace space-shared matches the default driver; topology jobs honour cap_mode; mdrun rejects -dump-every 0 and runs at -temp 0"
 
 # batch-race-smoke runs one 256-node batched grid sweep under the race
 # detector: the per-worker pooled episodes, the shared trace cache and
@@ -117,9 +118,10 @@ batch-race-smoke:
 # fuzz-smoke runs each native fuzz target for a few seconds: the fault
 # plan grammar (-faults, jobfile "faults"), the device class-map
 # grammar (-classes, jobfile "classes"), the Box–Muller kernel against
-# the math package on raw generator outputs, and the allocators'
+# the math package on raw generator outputs, the allocators'
 # capability-weighted cap division (dead nodes, per-node ranges, budget
-# conservation). `go test` already replays their seed corpora; this
+# conservation) and the telemetry event codec (decode, encode, decode
+# again). `go test` already replays their seed corpora; this
 # explores beyond them. -fuzz takes one target per run, hence one line
 # per target.
 fuzz-smoke:
@@ -127,6 +129,7 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz '^FuzzParseClassMap$$' -fuzztime 3s ./internal/machine/
 	$(GO) test -run xxx -fuzz '^FuzzNormKernel$$' -fuzztime 3s ./internal/rng/
 	$(GO) test -run xxx -fuzz '^FuzzPartitionCaps$$' -fuzztime 3s ./internal/core/
+	$(GO) test -run xxx -fuzz '^FuzzDecode$$' -fuzztime 3s ./internal/telemetry/
 
 # bench-smoke vets the benchmark module (benchmark/, a module of its
 # own that builds against this one through a replace directive). Vet

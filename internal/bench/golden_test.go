@@ -50,9 +50,8 @@ func TestReportByteIdenticalAcrossJobs(t *testing.T) {
 // TestReportByteIdenticalAcrossGOMAXPROCS crosses the worker-pool axis
 // with the scheduler-parallelism axis: the report rendered with jobs∈{1,8}
 // under GOMAXPROCS∈{1,8} must produce one identical byte stream. True
-// parallelism changes which rank goroutines run simultaneously — striped
-// telemetry cells and memoized analysis replay must stay invisible to
-// the output.
+// parallelism changes which rank goroutines run simultaneously —
+// memoized analysis replay must stay invisible to the output.
 func TestReportByteIdenticalAcrossGOMAXPROCS(t *testing.T) {
 	if testing.Short() {
 		t.Skip("renders the report four times")

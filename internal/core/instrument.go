@@ -51,8 +51,6 @@ func (ip *instrumented) Allocate(step int, nodes []NodeMeasure) []units.Watts {
 			ip.powerSimM.Observe(float64(n.Power))
 		case RoleAnalysis:
 			ip.powerAnaM.Observe(float64(n.Power))
-		default:
-			ip.hub.NodePower(n.Role.String(), float64(n.Power))
 		}
 	}
 	caps := ip.inner.Allocate(step, nodes)

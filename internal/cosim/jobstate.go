@@ -615,7 +615,7 @@ func (ep *Episode) Run(ctx context.Context, prm EpisodeParams) (*Result, error) 
 				aliveSim, aliveAna := cl.AliveCounts()
 				total := float64(rec.SimPower)*float64(aliveSim) + float64(rec.AnaPower)*float64(aliveAna)
 				if budget := float64(prm.Constraints.Budget); total > budget*1.01 {
-					tel.BudgetViolation(float64(ep.clock), "job", total, budget, true)
+					tel.BudgetViolation(float64(ep.clock), "job", total, budget)
 				}
 			}
 		}

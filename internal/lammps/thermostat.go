@@ -28,10 +28,19 @@ type RescaleThermostat struct {
 	steps int
 }
 
+// checkTarget accepts the temperatures Config accepts: finite and
+// non-negative, zero being a cold start.
+func checkTarget(target float64) error {
+	if math.IsNaN(target) || math.IsInf(target, 0) || target < 0 {
+		return fmt.Errorf("lammps: thermostat target %g must be finite and non-negative", target)
+	}
+	return nil
+}
+
 // NewRescaleThermostat returns a velocity-rescale thermostat.
 func NewRescaleThermostat(target float64, period int) (*RescaleThermostat, error) {
-	if target <= 0 {
-		return nil, fmt.Errorf("lammps: thermostat target %g must be positive", target)
+	if err := checkTarget(target); err != nil {
+		return nil, err
 	}
 	if period < 1 {
 		return nil, fmt.Errorf("lammps: thermostat period %d must be >= 1", period)
@@ -71,8 +80,8 @@ type BerendsenThermostat struct {
 
 // NewBerendsenThermostat returns a weak-coupling thermostat.
 func NewBerendsenThermostat(target, tau float64) (*BerendsenThermostat, error) {
-	if target <= 0 {
-		return nil, fmt.Errorf("lammps: thermostat target %g must be positive", target)
+	if err := checkTarget(target); err != nil {
+		return nil, err
 	}
 	if tau <= 0 {
 		return nil, fmt.Errorf("lammps: berendsen tau %g must be positive", tau)

@@ -7,17 +7,27 @@ import (
 )
 
 func TestThermostatValidation(t *testing.T) {
-	if _, err := NewRescaleThermostat(0, 1); err == nil {
-		t.Error("zero target should fail")
-	}
 	if _, err := NewRescaleThermostat(1, 0); err == nil {
 		t.Error("zero period should fail")
 	}
-	if _, err := NewBerendsenThermostat(-1, 1); err == nil {
-		t.Error("negative target should fail")
-	}
 	if _, err := NewBerendsenThermostat(1, 0); err == nil {
 		t.Error("zero tau should fail")
+	}
+	// Both thermostats take the temperatures Config takes, zero (a cold
+	// start) included, and reject the rest.
+	for _, tc := range []struct {
+		target float64
+		ok     bool
+	}{
+		{0, true}, {1.2, true}, {-1, false}, {math.NaN(), false}, {math.Inf(1), false},
+	} {
+		_, rerr := NewRescaleThermostat(tc.target, 1)
+		_, berr := NewBerendsenThermostat(tc.target, 1)
+		for name, err := range map[string]error{"rescale": rerr, "berendsen": berr} {
+			if (err == nil) != tc.ok {
+				t.Errorf("%s target %g: err = %v, want accepted %v", name, tc.target, err, tc.ok)
+			}
+		}
 	}
 }
 
@@ -64,18 +74,27 @@ func TestRunDriverCountsSteps(t *testing.T) {
 }
 
 func TestEquilibrate(t *testing.T) {
-	cfg := smallConfig()
-	cfg.Temp = 0.9
-	s := MustNew(cfg)
-	if err := s.Equilibrate(40); err != nil {
-		t.Fatal(err)
-	}
-	if got := s.Temperature(); math.Abs(got-0.9) > 0.2 {
-		t.Errorf("temperature %v after equilibration, want ~0.9", got)
-	}
-	m := s.TotalMomentum()
-	if mag := math.Sqrt(m.Norm2()); mag > 1e-9 {
-		t.Errorf("net momentum %v after equilibration", mag)
+	for _, tc := range []struct {
+		temp, tol float64
+		steps     int
+	}{
+		{0.9, 0.2, 40},
+		// A cold start: the last rescale, on step 100, leaves it at zero.
+		{0, 0, 100},
+	} {
+		cfg := smallConfig()
+		cfg.Temp = tc.temp
+		s := MustNew(cfg)
+		if err := s.Equilibrate(tc.steps); err != nil {
+			t.Fatalf("T*=%g: %v", tc.temp, err)
+		}
+		if got := s.Temperature(); math.Abs(got-tc.temp) > tc.tol {
+			t.Errorf("temperature %v after equilibration, want %g within %g", got, tc.temp, tc.tol)
+		}
+		m := s.TotalMomentum()
+		if mag := math.Sqrt(m.Norm2()); mag > 1e-9 {
+			t.Errorf("T*=%g: net momentum %v after equilibration", tc.temp, mag)
+		}
 	}
 }
 

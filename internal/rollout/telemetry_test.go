@@ -3,7 +3,6 @@ package rollout
 import (
 	"context"
 	"reflect"
-	"runtime"
 	"strings"
 	"testing"
 
@@ -48,15 +47,6 @@ func simMetrics(h *telemetry.Hub) []telemetry.FamilySnapshot {
 // newTestHub returns a hub whose event ring holds every event of the
 // small grids below.
 func newTestHub() *telemetry.Hub { return telemetry.New(telemetry.Options{RingSize: 1 << 16}) }
-
-// oneStripe runs the test at GOMAXPROCS 1, so every metric child holds
-// one stripe and float sums accumulate in emission order. With more
-// stripes the grouping follows goroutine stack addresses, and two
-// identical runs can differ in the last bits of a sum.
-func oneStripe(t *testing.T) {
-	prev := runtime.GOMAXPROCS(1)
-	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
-}
 
 // instrumentedGrid is a faulted grid on a mixed-class cluster: a kill,
 // a slow excursion that ends mid-run and one still running at the end,
@@ -108,7 +98,6 @@ func sameResult(t *testing.T, a, b *Result) bool {
 // and the metric snapshot of the same grid on a second hub with a
 // fresh Env, and so a fresh node population, per point.
 func TestInstrumentedPooledMatchesFresh(t *testing.T) {
-	oneStripe(t)
 	points := instrumentedGrid(t)
 	pooledHub, freshHub := newTestHub(), newTestHub()
 	pooled := make([]Point, len(points))
@@ -147,7 +136,6 @@ func TestInstrumentedPooledMatchesFresh(t *testing.T) {
 // with exactly the events and metrics of its point run on a fresh Env,
 // and the uninstrumented points in between reach no hub.
 func TestEnvHubSwitch(t *testing.T) {
-	oneStripe(t)
 	points := instrumentedGrid(t)
 	env := NewEnv()
 	hubs := make([]*telemetry.Hub, len(points))

@@ -225,19 +225,61 @@ type TransferVolume struct {
 // Kind implements Event.
 func (TransferVolume) Kind() string { return "TransferVolume" }
 
+// eventTable is the event vocabulary, one entry per kind in a fixed
+// order: Decode dispatches on it, and New pre-registers an events
+// counter series for each kind in this order.
+var eventTable = []struct {
+	kind   string
+	decode func(data []byte) (Event, error)
+}{
+	{CapWritten{}.Kind(), decodeAs[CapWritten]},
+	{PolicyDecision{}.Kind(), decodeAs[PolicyDecision]},
+	{SyncBarrier{}.Kind(), decodeAs[SyncBarrier]},
+	{BudgetViolation{}.Kind(), decodeAs[BudgetViolation]},
+	{ThrottleEngaged{}.Kind(), decodeAs[ThrottleEngaged]},
+	{BudgetShare{}.Kind(), decodeAs[BudgetShare]},
+	{CampaignCell{}.Kind(), decodeAs[CampaignCell]},
+	{NodeKilled{}.Kind(), decodeAs[NodeKilled]},
+	{NodeDegraded{}.Kind(), decodeAs[NodeDegraded]},
+	{NodeRecovered{}.Kind(), decodeAs[NodeRecovered]},
+	{StageStart{}.Kind(), decodeAs[StageStart]},
+	{StageEnd{}.Kind(), decodeAs[StageEnd]},
+	{TransferVolume{}.Kind(), decodeAs[TransferVolume]},
+}
+
+// decodeAs unmarshals an event's data into its value form, the form
+// events are emitted as, so Decode(Encode(e)) == e.
+func decodeAs[T Event](data []byte) (Event, error) {
+	var e T
+	if err := json.Unmarshal(data, &e); err != nil {
+		return nil, err
+	}
+	return e, nil
+}
+
 // envelope is the JSONL wire form: {"kind": "...", "data": {...}}.
 type envelope struct {
 	Kind string          `json:"kind"`
 	Data json.RawMessage `json:"data"`
 }
 
-// Encode renders an event as one JSONL line (without trailing newline).
+// Encode renders an event as one JSONL line (without trailing newline),
+// the envelope around the event's JSON. Event kinds are plain
+// identifiers, so the kind needs no escaping.
 func Encode(e Event) ([]byte, error) {
 	data, err := json.Marshal(e)
 	if err != nil {
 		return nil, fmt.Errorf("telemetry: encode %s: %w", e.Kind(), err)
 	}
-	return json.Marshal(envelope{Kind: e.Kind(), Data: data})
+	const head, mid = `{"kind":"`, `","data":`
+	// One spare byte past the closing brace lets the sink append its
+	// newline without growing the line.
+	line := make([]byte, 0, len(head)+len(e.Kind())+len(mid)+len(data)+2)
+	line = append(line, head...)
+	line = append(line, e.Kind()...)
+	line = append(line, mid...)
+	line = append(line, data...)
+	return append(line, '}'), nil
 }
 
 // Decode parses one JSONL line back into its typed event.
@@ -246,73 +288,15 @@ func Decode(line []byte) (Event, error) {
 	if err := json.Unmarshal(line, &env); err != nil {
 		return nil, fmt.Errorf("telemetry: decode envelope: %w", err)
 	}
-	var ev Event
-	switch env.Kind {
-	case "CapWritten":
-		ev = &CapWritten{}
-	case "PolicyDecision":
-		ev = &PolicyDecision{}
-	case "SyncBarrier":
-		ev = &SyncBarrier{}
-	case "BudgetViolation":
-		ev = &BudgetViolation{}
-	case "ThrottleEngaged":
-		ev = &ThrottleEngaged{}
-	case "BudgetShare":
-		ev = &BudgetShare{}
-	case "CampaignCell":
-		ev = &CampaignCell{}
-	case "NodeKilled":
-		ev = &NodeKilled{}
-	case "NodeDegraded":
-		ev = &NodeDegraded{}
-	case "NodeRecovered":
-		ev = &NodeRecovered{}
-	case "StageStart":
-		ev = &StageStart{}
-	case "StageEnd":
-		ev = &StageEnd{}
-	case "TransferVolume":
-		ev = &TransferVolume{}
-	default:
-		return nil, fmt.Errorf("telemetry: unknown event kind %q", env.Kind)
+	for _, k := range eventTable {
+		if k.kind != env.Kind {
+			continue
+		}
+		e, err := k.decode(env.Data)
+		if err != nil {
+			return nil, fmt.Errorf("telemetry: decode %s: %w", env.Kind, err)
+		}
+		return e, nil
 	}
-	if err := json.Unmarshal(env.Data, ev); err != nil {
-		return nil, fmt.Errorf("telemetry: decode %s: %w", env.Kind, err)
-	}
-	return deref(ev), nil
-}
-
-// deref turns the pointer Decode unmarshals into back into the value
-// form events are emitted as, so Decode(Encode(e)) == e.
-func deref(e Event) Event {
-	switch v := e.(type) {
-	case *CapWritten:
-		return *v
-	case *PolicyDecision:
-		return *v
-	case *SyncBarrier:
-		return *v
-	case *BudgetViolation:
-		return *v
-	case *ThrottleEngaged:
-		return *v
-	case *BudgetShare:
-		return *v
-	case *CampaignCell:
-		return *v
-	case *NodeKilled:
-		return *v
-	case *NodeDegraded:
-		return *v
-	case *NodeRecovered:
-		return *v
-	case *StageStart:
-		return *v
-	case *StageEnd:
-		return *v
-	case *TransferVolume:
-		return *v
-	}
-	return e
+	return nil, fmt.Errorf("telemetry: unknown event kind %q", env.Kind)
 }

@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"bytes"
 	"encoding/json"
 	"reflect"
 	"strings"
@@ -57,17 +58,20 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 }
 
+// decodeErrorCases are lines Decode must reject, with the error text
+// each must carry.
+var decodeErrorCases = []struct {
+	name string
+	line string
+	want string
+}{
+	{"garbage", "not json", "decode envelope"},
+	{"unknown kind", `{"kind":"NoSuchEvent","data":{}}`, "unknown event kind"},
+	{"bad payload", `{"kind":"CapWritten","data":{"t":"not-a-number"}}`, "decode CapWritten"},
+}
+
 func TestDecodeErrors(t *testing.T) {
-	cases := []struct {
-		name string
-		line string
-		want string
-	}{
-		{"garbage", "not json", "decode envelope"},
-		{"unknown kind", `{"kind":"NoSuchEvent","data":{}}`, "unknown event kind"},
-		{"bad payload", `{"kind":"CapWritten","data":{"t":"not-a-number"}}`, "decode CapWritten"},
-	}
-	for _, tc := range cases {
+	for _, tc := range decodeErrorCases {
 		t.Run(tc.name, func(t *testing.T) {
 			_, err := Decode([]byte(tc.line))
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
@@ -90,4 +94,40 @@ func TestKindsAreUnique(t *testing.T) {
 	if len(seen) != 13 {
 		t.Errorf("expected 13 event kinds, have %d", len(seen))
 	}
+}
+
+// FuzzDecode: no input panics Decode, and a line it accepts encodes to
+// a line that decodes to the same event and encodes to the same bytes
+// again.
+func FuzzDecode(f *testing.F) {
+	for _, e := range allEvents {
+		line, err := Encode(e)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(line)
+	}
+	for _, tc := range decodeErrorCases {
+		f.Add([]byte(tc.line))
+	}
+	f.Fuzz(func(t *testing.T, line []byte) {
+		e, err := Decode(line)
+		if err != nil {
+			return
+		}
+		enc, err := Encode(e)
+		if err != nil {
+			t.Fatalf("Encode(%#v) from %q: %v", e, line, err)
+		}
+		again, err := Decode(enc)
+		if err != nil {
+			t.Fatalf("Decode(%q): %v", enc, err)
+		}
+		if !reflect.DeepEqual(again, e) {
+			t.Fatalf("re-decoded %#v, want %#v", again, e)
+		}
+		if enc2, err := Encode(again); err != nil || !bytes.Equal(enc2, enc) {
+			t.Fatalf("re-encoded %q (%v), want %q", enc2, err, enc)
+		}
+	})
 }

@@ -11,13 +11,12 @@ import (
 	"io"
 	"math"
 	"sync"
-	"sync/atomic"
 )
 
 // Options configures a Hub.
 type Options struct {
-	// RingSize bounds the in-memory event ring (default 1024). The ring
-	// never blocks emitters: the oldest events are overwritten.
+	// RingSize bounds the in-memory event ring (default 1024): the
+	// oldest events are overwritten.
 	RingSize int
 	// Sink, when non-nil, receives every event as one JSONL line. Sink
 	// writes happen under the Hub's mutex; wrap slow writers in a
@@ -30,19 +29,14 @@ type Options struct {
 type Hub struct {
 	reg *Registry
 
-	// The event ring is lock-free on the write side: an emitter claims a
-	// slot with one fetch-add and publishes the event with one atomic
-	// pointer store, so concurrent ranks never serialize through a mutex
-	// just to record an event. Only the optional sink (an ordered JSONL
-	// stream) still takes the mutex, and only when configured.
-	ring    []atomic.Pointer[Event]
-	ringIdx atomic.Uint64 // total events ever claimed
-
-	mu      sync.Mutex // guards sink and sinkErr
+	// One lock orders the event stream: under it an emitter stores its
+	// event in the ring and writes its sink line, so the ring and the
+	// sink hold the same events in the same order.
+	mu      sync.Mutex
+	ring    []Event // event i lives in ring[i%len(ring)]
+	emitted uint64  // events ever emitted
 	sink    io.Writer
 	sinkErr error
-
-	dropped atomic.Uint64
 
 	// Pre-registered families for the instrumented hot paths.
 	capWrites    *Family // counter{node}
@@ -50,11 +44,6 @@ type Hub struct {
 	throttles    *Family // counter{node}
 	violations   *Family // counter{node}
 	rendWait     *Family // histogram{op}: collective rendezvous wait
-	msgs         *Family // counter: point-to-point messages
-	msgBytes     *Family // counter: point-to-point payload bytes
-	syncs        *Family // counter: synchronization barriers
-	wallHist     *Family // histogram: interval wall time
-	slackGauge   *Family // gauge: latest interval normalized slack
 	idleHist     *Family // histogram{partition}: idle troughs at barriers
 	decisions    *Family // counter{policy,direction}
 	shiftHist    *Family // histogram{policy}: per-node shift magnitude
@@ -66,31 +55,21 @@ type Hub struct {
 	campCells    *Family // counter{campaign,status}: campaign cells finished
 	campInflight *Family // gauge{campaign}: campaign cells currently running
 	campCellSec  *Family // histogram{campaign}: campaign cell duration
-	eventsTotal  *Family // counter{kind}
-	droppedTotal *Family // counter: ring/sink drops
 
-	// Resolved children of the label-less hot-path families, cached at
-	// construction so per-message and per-sync increments skip the
-	// registry's child lookup (and its lock) entirely.
-	msgsM       *Metric
-	msgBytesM   *Metric
-	syncsM      *Metric
-	wallHistM   *Metric
-	slackGaugeM *Metric
-	droppedM    *Metric
+	// The series of the label-less families, resolved at construction
+	// so per-message and per-sync increments skip the registry's child
+	// lookup (and its lock) entirely.
+	msgs       *Metric // counter: point-to-point messages
+	msgBytes   *Metric // counter: point-to-point payload bytes
+	syncs      *Metric // counter: synchronization barriers
+	wallHist   *Metric // histogram: interval wall time
+	slackGauge *Metric // gauge: latest interval normalized slack
+	dropped    *Metric // counter: events lost to sink errors
 
-	// kindM caches the per-kind event counters for every known event
-	// type (read-only after construction), so Emit skips the family's
+	// kindM holds the events counter series of every kind in the event
+	// table (read-only after construction), so Emit skips the family's
 	// label lookup on each event.
 	kindM map[string]*Metric
-}
-
-// eventKinds lists every event type Decode understands; New resolves a
-// cached counter child per kind.
-var eventKinds = []string{
-	"CapWritten", "PolicyDecision", "SyncBarrier", "BudgetViolation",
-	"ThrottleEngaged", "BudgetShare", "CampaignCell", "NodeKilled",
-	"NodeDegraded", "NodeRecovered",
 }
 
 // New returns a Hub with the standard metric families registered.
@@ -101,7 +80,7 @@ func New(o Options) *Hub {
 	reg := NewRegistry()
 	h := &Hub{
 		reg:  reg,
-		ring: make([]atomic.Pointer[Event], o.RingSize),
+		ring: make([]Event, o.RingSize),
 		sink: o.Sink,
 
 		capWrites:    reg.Counter("seesaw_cap_writes_total", "RAPL cap write operations", "node"),
@@ -109,11 +88,6 @@ func New(o Options) *Hub {
 		throttles:    reg.Counter("seesaw_throttle_engaged_total", "RAPL throttle engagements (demand clipped to cap)", "node"),
 		violations:   reg.Counter("seesaw_budget_violations_total", "Power observed above its limit", "node"),
 		rendWait:     reg.Histogram("seesaw_barrier_wait_seconds", "Virtual time ranks wait at collective rendezvous", LatencyBuckets(), "op"),
-		msgs:         reg.Counter("seesaw_messages_total", "Point-to-point messages sent"),
-		msgBytes:     reg.Counter("seesaw_message_bytes_total", "Point-to-point payload bytes sent"),
-		syncs:        reg.Counter("seesaw_sync_total", "Simulation/analysis synchronization intervals"),
-		wallHist:     reg.Histogram("seesaw_interval_wall_seconds", "Synchronization interval wall time", LatencyBuckets()),
-		slackGauge:   reg.Gauge("seesaw_interval_slack", "Normalized slack of the latest interval"),
 		idleHist:     reg.Histogram("seesaw_idle_trough_seconds", "Per-node idle time at synchronization barriers", LatencyBuckets(), "partition"),
 		decisions:    reg.Counter("seesaw_policy_decisions_total", "Policy allocation decisions", "policy", "direction"),
 		shiftHist:    reg.Histogram("seesaw_policy_shift_watts", "Per-node power moved by one policy decision", []float64{0.5, 1, 2, 5, 10, 20, 50, 100}, "policy"),
@@ -125,18 +99,19 @@ func New(o Options) *Hub {
 		campCells:    reg.Counter("seesaw_campaign_cells_total", "Campaign cells finished, by status", "campaign", "status"),
 		campInflight: reg.Gauge("seesaw_campaign_inflight_cells", "Campaign cells currently executing", "campaign"),
 		campCellSec:  reg.Histogram("seesaw_campaign_cell_seconds", "Wall-clock duration of one campaign cell", CellBuckets(), "campaign"),
-		eventsTotal:  reg.Counter("seesaw_events_total", "Structured events emitted", "kind"),
-		droppedTotal: reg.Counter("seesaw_events_dropped_total", "Structured events lost to sink errors"),
+
+		msgs:       reg.Counter("seesaw_messages_total", "Point-to-point messages sent").With(),
+		msgBytes:   reg.Counter("seesaw_message_bytes_total", "Point-to-point payload bytes sent").With(),
+		syncs:      reg.Counter("seesaw_sync_total", "Simulation/analysis synchronization intervals").With(),
+		wallHist:   reg.Histogram("seesaw_interval_wall_seconds", "Synchronization interval wall time", LatencyBuckets()).With(),
+		slackGauge: reg.Gauge("seesaw_interval_slack", "Normalized slack of the latest interval").With(),
+		dropped:    reg.Counter("seesaw_events_dropped_total", "Structured events lost to sink errors").With(),
+
+		kindM: make(map[string]*Metric, len(eventTable)),
 	}
-	h.msgsM = h.msgs.With()
-	h.msgBytesM = h.msgBytes.With()
-	h.syncsM = h.syncs.With()
-	h.wallHistM = h.wallHist.With()
-	h.slackGaugeM = h.slackGauge.With()
-	h.droppedM = h.droppedTotal.With()
-	h.kindM = make(map[string]*Metric, len(eventKinds))
-	for _, k := range eventKinds {
-		h.kindM[k] = h.eventsTotal.With(k)
+	events := reg.Counter("seesaw_events_total", "Structured events emitted", "kind")
+	for _, k := range eventTable {
+		h.kindM[k.kind] = events.With(k.kind)
 	}
 	return h
 }
@@ -250,69 +225,63 @@ func (h *Hub) Registry() *Registry {
 	return h.reg
 }
 
-// Emit records a structured event: into the ring, the sink (as JSONL)
-// and the per-kind counter. The counter child is pre-resolved and the
-// ring write is one fetch-add plus one pointer store, so emitters never
-// contend on a lock unless a sink is configured.
+// Emit records a structured event: into the per-kind counter, the ring
+// and the sink (as JSONL). The ring slot and the sink line are written
+// under one lock, in one order. Once the sink has failed, every event
+// emitted counts as dropped.
 func (h *Hub) Emit(e Event) {
 	if h == nil {
 		return
 	}
-	if m := h.kindM[e.Kind()]; m != nil {
+	if m := h.kindM[e.Kind()]; m != nil { // kinds outside the table go uncounted
 		m.Inc()
-	} else {
-		h.eventsTotal.With(e.Kind()).Inc()
 	}
-	idx := h.ringIdx.Add(1) - 1
-	h.ring[idx%uint64(len(h.ring))].Store(&e)
-	if h.sink != nil {
-		h.mu.Lock()
-		if h.sinkErr == nil {
-			line, err := Encode(e)
-			if err == nil {
-				line = append(line, '\n')
-				_, err = h.sink.Write(line)
-			}
-			if err != nil {
-				h.sinkErr = err
-				h.dropped.Add(1)
-				h.droppedM.Inc()
-			}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	h.ring[h.emitted%uint64(len(h.ring))] = e
+	h.emitted++
+	if h.sink == nil {
+		return
+	}
+	if h.sinkErr == nil {
+		line, err := Encode(e)
+		if err == nil {
+			_, err = h.sink.Write(append(line, '\n'))
 		}
-		h.mu.Unlock()
+		h.sinkErr = err
+	}
+	if h.sinkErr != nil {
+		h.dropped.Inc()
 	}
 }
 
-// Events returns the ring's contents, oldest first (by slot-claim
-// order). An emitter that has claimed a slot but not yet published into
-// it leaves the slot empty (skipped) or holding the previous lap's
-// event, so a snapshot taken mid-emission may be short or slightly
-// stale; once emitters quiesce the snapshot is exact.
+// Events returns the ring's contents, oldest first, in the order the
+// sink received them.
 func (h *Hub) Events() []Event {
 	if h == nil {
 		return nil
 	}
-	total := h.ringIdx.Load()
+	h.mu.Lock()
+	defer h.mu.Unlock()
 	n := uint64(len(h.ring))
 	start := uint64(0)
-	if total > n {
-		start = total - n
+	if h.emitted > n {
+		start = h.emitted - n
 	}
-	out := make([]Event, 0, total-start)
-	for i := start; i < total; i++ {
-		if p := h.ring[i%n].Load(); p != nil {
-			out = append(out, *p)
-		}
+	out := make([]Event, 0, h.emitted-start)
+	for i := start; i < h.emitted; i++ {
+		out = append(out, h.ring[i%n])
 	}
 	return out
 }
 
-// Dropped returns how many events were lost to sink errors.
+// Dropped returns how many events the sink lost: the event whose write
+// failed and every event emitted after it.
 func (h *Hub) Dropped() uint64 {
 	if h == nil {
 		return 0
 	}
-	return h.dropped.Load()
+	return uint64(h.dropped.Value())
 }
 
 // Close flushes the sink when it supports flushing (e.g. bufio.Writer)
@@ -362,16 +331,13 @@ func (h *Hub) WriteJSON(w io.Writer) error {
 
 // BudgetViolation reports observed power above its limit: a whole
 // job's measured power above its budget (node == "job"). A node's RAPL
-// window reports through its CapSite instead. The counter covers every
-// call; the structured event is emitted only when eventful is true.
-func (h *Hub) BudgetViolation(t float64, node string, observedW, limitW float64, eventful bool) {
+// window reports through its CapSite instead.
+func (h *Hub) BudgetViolation(t float64, node string, observedW, limitW float64) {
 	if h == nil {
 		return
 	}
 	h.violations.With(node).Inc()
-	if eventful {
-		h.Emit(BudgetViolation{T: t, Node: node, ObservedW: observedW, LimitW: limitW})
-	}
+	h.Emit(BudgetViolation{T: t, Node: node, ObservedW: observedW, LimitW: limitW})
 }
 
 // MessageSent counts one point-to-point message (metrics only).
@@ -379,8 +345,8 @@ func (h *Hub) MessageSent(bytes int) {
 	if h == nil {
 		return
 	}
-	h.msgsM.Inc()
-	h.msgBytesM.Add(float64(bytes))
+	h.msgs.Inc()
+	h.msgBytes.Add(float64(bytes))
 }
 
 // SyncBarrier reports one completed synchronization interval.
@@ -388,19 +354,10 @@ func (h *Hub) SyncBarrier(t float64, step int, wallS, simS, anaS, slack, overhea
 	if h == nil {
 		return
 	}
-	h.syncsM.Inc()
-	h.wallHistM.Observe(wallS)
-	h.slackGaugeM.Set(slack)
+	h.syncs.Inc()
+	h.wallHist.Observe(wallS)
+	h.slackGauge.Set(slack)
 	h.Emit(SyncBarrier{T: t, Step: step, WallS: wallS, SimS: simS, AnaS: anaS, Slack: slack, Overhead: overheadS})
-}
-
-// NodePower records one node's measured average power over an interval
-// (metrics only).
-func (h *Hub) NodePower(partition string, watts float64) {
-	if h == nil {
-		return
-	}
-	h.powerHist.With(partition).Observe(watts)
 }
 
 // PolicyDecision reports one allocation decision; shift magnitude and

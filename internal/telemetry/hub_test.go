@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -28,10 +29,9 @@ func TestNilHubIsSafe(t *testing.T) {
 		h.NodePowerMetric("sim") != nil {
 		t.Error("nil hub metric handles should be nil")
 	}
-	h.BudgetViolation(1, "job", 120, 110, true)
+	h.BudgetViolation(1, "job", 120, 110)
 	h.MessageSent(64)
 	h.SyncBarrier(1, 1, 1, 1, 1, 0, 0)
-	h.NodePower("sim", 110)
 	h.PolicyDecision(1, "seesaw", 1, 110, 110, 115, 105)
 	h.JobBudget(1, 0, "job", 7040, 0.5)
 	h.NodeKilled(1, 5, "ana", 20, 4, 3)
@@ -64,7 +64,7 @@ func TestDisabledHooksDoNotAllocate(t *testing.T) {
 		"MessageSent":          func() { h.MessageSent(64) },
 		"SyncBarrier":          func() { h.SyncBarrier(1, 1, 1, 1, 1, 0, 0) },
 		"IdleWaitMetric":       func() { h.IdleWaitMetric("ana") },
-		"NodePower":            func() { h.NodePower("sim", 110) },
+		"NodePowerMetric":      func() { h.NodePowerMetric("sim") },
 		"PolicyDecision":       func() { h.PolicyDecision(1, "seesaw", 1, 110, 110, 115, 105) },
 		"JobBudget":            func() { h.JobBudget(1, 0, "job", 7040, 0.5) },
 	}
@@ -126,19 +126,30 @@ type failingWriter struct{ err error }
 
 func (f failingWriter) Write([]byte) (int, error) { return 0, f.err }
 
+// TestSinkErrorCountsDropped: once the sink fails, the failed event
+// and every later one count as dropped, in Dropped and in the
+// exposition.
 func TestSinkErrorCountsDropped(t *testing.T) {
 	h := New(Options{Sink: failingWriter{err: errors.New("disk full")}})
-	h.Emit(SyncBarrier{Step: 1})
-	h.Emit(SyncBarrier{Step: 2})
-	if h.Dropped() == 0 {
-		t.Error("expected dropped events after sink failure")
+	for i := 1; i <= 3; i++ {
+		h.Emit(SyncBarrier{Step: i})
+	}
+	if got := h.Dropped(); got != 3 {
+		t.Errorf("Dropped = %d, want 3", got)
+	}
+	var sb strings.Builder
+	if err := h.Registry().WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	if want := "\nseesaw_events_dropped_total 3\n"; !strings.Contains(sb.String(), want) {
+		t.Errorf("exposition missing %q", want)
 	}
 	if err := h.Close(); err == nil || !strings.Contains(err.Error(), "disk full") {
 		t.Errorf("Close = %v, want the sink's write error", err)
 	}
 	// The ring still has the events even though the sink failed.
-	if len(h.Events()) != 2 {
-		t.Errorf("ring events = %d, want 2", len(h.Events()))
+	if len(h.Events()) != 3 {
+		t.Errorf("ring events = %d, want 3", len(h.Events()))
 	}
 }
 
@@ -152,13 +163,13 @@ func TestHooksUpdateMetrics(t *testing.T) {
 	site.CapWritten(1, "sim", 117, true) // short write: counter only
 	site.ThrottleEngaged(1, "sim", 180, 150)
 	site.BudgetViolation(1, "sim", 120, 110)
-	h.BudgetViolation(1, "job", 9000, 8800, false)
+	h.BudgetViolation(1, "job", 9000, 8800)
 	h.RendezvousWaitMetric("allgather").Observe(0.01)
 	h.MessageSent(64)
 	h.MessageSent(100)
 	h.SyncBarrier(1, 1, 1.5, 1.5, 1.2, 0.2, 0)
 	h.IdleWaitMetric("ana").Observe(0.3)
-	h.NodePower("sim", 112)
+	h.NodePowerMetric("sim").Observe(112)
 	h.PolicyDecision(1, "seesaw", 1, 110, 110, 115, 105)
 	h.PolicyDecision(2, "seesaw", 2, 115, 105, 115, 105)
 	h.JobBudget(1, 0, "jobA", 7040, 0.5)
@@ -194,7 +205,8 @@ func TestHooksUpdateMetrics(t *testing.T) {
 }
 
 // TestHubConcurrentEmit exercises the hub from many goroutines; run
-// with -race (the tier-1 gate does).
+// with -race (the tier-1 gate does). The ring ends holding the sink's
+// last 64 events, in the sink's order.
 func TestHubConcurrentEmit(t *testing.T) {
 	var buf bytes.Buffer
 	h := New(Options{RingSize: 64, Sink: &buf})
@@ -206,20 +218,28 @@ func TestHubConcurrentEmit(t *testing.T) {
 			site := h.CapSiteFor("sim", g == 0)
 			for i := 0; i < 200; i++ {
 				h.SyncBarrier(float64(i), i, 1, 1, 1, 0, 0)
-				h.NodePower("sim", 110)
+				h.NodePowerMetric("sim").Observe(110)
 				site.CapWritten(float64(i), "sim", 110, false)
 			}
 		}(g)
 	}
 	wg.Wait()
-	if got := len(h.Events()); got != 64 {
-		t.Errorf("ring should be full: %d events, want 64", got)
+	ring := h.Events()
+	if len(ring) != 64 {
+		t.Fatalf("ring should be full: %d events, want 64", len(ring))
 	}
 	// Every sink line must decode.
-	for i, line := range strings.Split(strings.TrimRight(buf.String(), "\n"), "\n") {
-		if _, err := Decode([]byte(line)); err != nil {
+	lines := strings.Split(strings.TrimRight(buf.String(), "\n"), "\n")
+	sunk := make([]Event, len(lines))
+	for i, line := range lines {
+		e, err := Decode([]byte(line))
+		if err != nil {
 			t.Fatalf("sink line %d: %v", i, err)
 		}
+		sunk[i] = e
+	}
+	if !reflect.DeepEqual(ring, sunk[len(sunk)-len(ring):]) {
+		t.Error("ring events differ from the sink's last 64 lines")
 	}
 }
 

@@ -10,21 +10,19 @@
 //
 // All hook methods are nil-safe: a nil *Hub makes every call a no-op
 // that performs no allocation, so instrumented hot paths cost a single
-// pointer comparison when telemetry is disabled (see bench_test.go for
-// the guarantee).
+// pointer comparison when telemetry is disabled
+// (TestDisabledHooksDoNotAllocate pins the guarantee).
 package telemetry
 
 import (
 	"fmt"
 	"io"
 	"math"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
-	"unsafe"
 )
 
 // Kind distinguishes the metric families a Registry can hold.
@@ -53,9 +51,8 @@ func (k Kind) String() string {
 // Registry holds metric families. All methods are safe for concurrent
 // use.
 type Registry struct {
-	mu    sync.RWMutex
-	fams  map[string]*Family
-	order []string
+	mu   sync.RWMutex
+	fams map[string]*Family
 }
 
 // NewRegistry returns an empty registry.
@@ -74,88 +71,19 @@ type Family struct {
 
 	mu       sync.RWMutex
 	children map[string]*Metric
-	corder   []string
+	series   []*Metric // children in creation order
 }
 
-// maxStripes caps the per-metric stripe fan-out.
-const maxStripes = 64
-
-// stripeCount picks the stripe fan-out for newly created metric
-// children from the current GOMAXPROCS: a single cell at GOMAXPROCS=1
-// (bitwise the pre-striping behaviour, zero extra cost), otherwise the
-// next power of two, capped at maxStripes. Evaluated at child creation
-// so a Hub built inside a `go test -cpu 1,4,8` run adopts that run's
-// parallelism.
-func stripeCount() int {
-	p := runtime.GOMAXPROCS(0)
-	if p <= 1 {
-		return 1
-	}
-	n := 1
-	for n < p {
-		n <<= 1
-	}
-	if n > maxStripes {
-		n = maxStripes
-	}
-	return n
-}
-
-// cell is one padded stripe of a counter/gauge: the padding keeps
-// adjacent stripes on distinct cache lines so concurrent writers don't
-// bounce one line between cores.
-type cell struct {
-	bits atomic.Uint64 // float64 bits
-	_    [56]byte
-}
-
-// histShard is one stripe of a histogram; padded like cell.
-type histShard struct {
-	counts  []atomic.Uint64 // len(buckets)+1, last is +Inf
-	sumBits atomic.Uint64
-	count   atomic.Uint64
-	_       [24]byte
-}
-
-// stripeHint hashes the caller's goroutine stack address into a stripe
-// preference. Goroutine stacks live in distinct allocations, so
-// goroutines spread across stripes and a goroutine keeps hitting the
-// same stripe (no cross-core line bouncing), without reaching into
-// runtime internals for a P or goroutine id.
-func stripeHint() uint64 {
-	var b byte
-	h := uint64(uintptr(unsafe.Pointer(&b))) >> 6
-	h *= 0x9e3779b97f4a7c15
-	return h >> 32
-}
-
-// Metric is one (family, label values) series. Writes go to one of a
-// fixed set of padded stripes (one per GOMAXPROCS at creation, a single
-// cell under GOMAXPROCS=1); reads aggregate over the stripes at scrape
-// or snapshot time, so the hot path never shares a contended cache
-// line.
+// Metric is one (family, label values) series: a counter or gauge is
+// one atomic float64, a histogram one atomic count per bucket plus an
+// atomic sum and count.
 type Metric struct {
 	fam       *Family
 	labelVals []string
 
-	cells  []cell      // counter/gauge stripes
-	shards []histShard // histogram stripes
-}
-
-// cellFor returns the caller's counter/gauge stripe.
-func (m *Metric) cellFor() *cell {
-	if len(m.cells) == 1 {
-		return &m.cells[0]
-	}
-	return &m.cells[stripeHint()&uint64(len(m.cells)-1)]
-}
-
-// shardFor returns the caller's histogram stripe.
-func (m *Metric) shardFor() *histShard {
-	if len(m.shards) == 1 {
-		return &m.shards[0]
-	}
-	return &m.shards[stripeHint()&uint64(len(m.shards)-1)]
+	bits    atomic.Uint64   // float64 bits: a counter's or gauge's value, a histogram's sum
+	count   atomic.Uint64   // histogram observations
+	buckets []atomic.Uint64 // histogram, len(fam.buckets)+1, last is +Inf
 }
 
 func (r *Registry) family(name, help string, kind Kind, buckets []float64, labelNames []string) *Family {
@@ -176,7 +104,6 @@ func (r *Registry) family(name, help string, kind Kind, buckets []float64, label
 		children:   make(map[string]*Metric),
 	}
 	r.fams[name] = f
-	r.order = append(r.order, name)
 	return f
 }
 
@@ -227,17 +154,11 @@ func (f *Family) With(labelValues ...string) *Metric {
 		return m
 	}
 	m = &Metric{fam: f, labelVals: append([]string(nil), labelValues...)}
-	n := stripeCount()
 	if f.kind == KindHistogram {
-		m.shards = make([]histShard, n)
-		for i := range m.shards {
-			m.shards[i].counts = make([]atomic.Uint64, len(f.buckets)+1)
-		}
-	} else {
-		m.cells = make([]cell, n)
+		m.buckets = make([]atomic.Uint64, len(f.buckets)+1)
 	}
 	f.children[key] = m
-	f.corder = append(f.corder, key)
+	f.series = append(f.series, m)
 	return m
 }
 
@@ -262,40 +183,26 @@ func (m *Metric) Add(v float64) {
 		if v < 0 {
 			panic("telemetry: counter decrease")
 		}
-		addBits(&m.cellFor().bits, v)
-	case KindGauge:
-		addBits(&m.cellFor().bits, v)
-	default:
+	case KindHistogram:
 		panic("telemetry: Add on histogram; use Observe")
 	}
+	addBits(&m.bits, v)
 }
 
-// Set sets a gauge's value: the value lands in stripe zero and the
-// other stripes are cleared, so a subsequent Value returns v.
-// Concurrent Sets are last-write-wins per stripe; mixing Set with
-// concurrent Add may lose an Add that lands on a stripe mid-clear
-// (gauges in this codebase are either Set- or Add-shaped, never both).
+// Set sets a gauge's value.
 func (m *Metric) Set(v float64) {
 	if m.fam.kind != KindGauge {
 		panic("telemetry: Set on non-gauge")
 	}
-	m.cells[0].bits.Store(math.Float64bits(v))
-	for i := 1; i < len(m.cells); i++ {
-		m.cells[i].bits.Store(0)
-	}
+	m.bits.Store(math.Float64bits(v))
 }
 
-// Value returns a counter's or gauge's current value (the sum over its
-// stripes).
+// Value returns a counter's or gauge's current value.
 func (m *Metric) Value() float64 {
 	if m.fam.kind == KindHistogram {
 		panic("telemetry: Value on histogram")
 	}
-	v := 0.0
-	for i := range m.cells {
-		v += math.Float64frombits(m.cells[i].bits.Load())
-	}
-	return v
+	return math.Float64frombits(m.bits.Load())
 }
 
 // Observe records v into a histogram: v lands in the first bucket whose
@@ -304,11 +211,9 @@ func (m *Metric) Observe(v float64) {
 	if m.fam.kind != KindHistogram {
 		panic("telemetry: Observe on non-histogram")
 	}
-	i := sort.SearchFloat64s(m.fam.buckets, v)
-	sh := m.shardFor()
-	sh.counts[i].Add(1)
-	addBits(&sh.sumBits, v)
-	sh.count.Add(1)
+	m.buckets[sort.SearchFloat64s(m.fam.buckets, v)].Add(1)
+	addBits(&m.bits, v)
+	m.count.Add(1)
 }
 
 // Count returns a histogram's total observation count.
@@ -316,11 +221,7 @@ func (m *Metric) Count() uint64 {
 	if m.fam.kind != KindHistogram {
 		panic("telemetry: Count on non-histogram")
 	}
-	var n uint64
-	for i := range m.shards {
-		n += m.shards[i].count.Load()
-	}
-	return n
+	return m.count.Load()
 }
 
 // Sum returns a histogram's sum of observations.
@@ -328,11 +229,7 @@ func (m *Metric) Sum() float64 {
 	if m.fam.kind != KindHistogram {
 		panic("telemetry: Sum on non-histogram")
 	}
-	v := 0.0
-	for i := range m.shards {
-		v += math.Float64frombits(m.shards[i].sumBits.Load())
-	}
-	return v
+	return math.Float64frombits(m.bits.Load())
 }
 
 // BucketCounts returns a histogram's per-bucket (non-cumulative) counts;
@@ -341,11 +238,9 @@ func (m *Metric) BucketCounts() []uint64 {
 	if m.fam.kind != KindHistogram {
 		panic("telemetry: BucketCounts on non-histogram")
 	}
-	out := make([]uint64, len(m.fam.buckets)+1)
-	for s := range m.shards {
-		for i := range m.shards[s].counts {
-			out[i] += m.shards[s].counts[i].Load()
-		}
+	out := make([]uint64, len(m.buckets))
+	for i := range m.buckets {
+		out[i] = m.buckets[i].Load()
 	}
 	return out
 }
@@ -360,8 +255,6 @@ func PowerBuckets() []float64 {
 	return out
 }
 
-// LatencyBuckets returns 1-2-5 histogram bounds for virtual-time
-// latencies, from 1 microsecond to 100 seconds.
 // CellBuckets returns histogram bounds for campaign cell durations in
 // wall-clock seconds: cells range from sub-second smoke runs to
 // multi-minute 1024-node sweeps.
@@ -369,6 +262,8 @@ func CellBuckets() []float64 {
 	return []float64{0.01, 0.05, 0.1, 0.5, 1, 2, 5, 10, 30, 60, 120, 300, 600}
 }
 
+// LatencyBuckets returns 1-2-5 histogram bounds for virtual-time
+// latencies, from 1 microsecond to 100 seconds.
 func LatencyBuckets() []float64 {
 	var out []float64
 	for _, mag := range []float64{1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1, 10, 100} {
@@ -418,37 +313,41 @@ func formatFloat(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
+// walk calls fn for every family, sorted by name, with a copy of its
+// children in creation order.
+func (r *Registry) walk(fn func(f *Family, series []*Metric) error) error {
+	r.mu.RLock()
+	fams := make([]*Family, 0, len(r.fams))
+	for _, f := range r.fams {
+		fams = append(fams, f)
+	}
+	r.mu.RUnlock()
+	sort.Slice(fams, func(i, j int) bool { return fams[i].name < fams[j].name })
+	for _, f := range fams {
+		f.mu.RLock()
+		series := append([]*Metric(nil), f.series...)
+		f.mu.RUnlock()
+		if err := fn(f, series); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // WritePrometheus emits every family in Prometheus text exposition
 // format (families sorted by name, children in creation order).
 func (r *Registry) WritePrometheus(w io.Writer) error {
-	r.mu.RLock()
-	names := append([]string(nil), r.order...)
-	r.mu.RUnlock()
-	sort.Strings(names)
-	for _, name := range names {
-		r.mu.RLock()
-		f := r.fams[name]
-		r.mu.RUnlock()
-		if f == nil {
-			continue
-		}
+	return r.walk(func(f *Family, series []*Metric) error {
 		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", f.name, f.help, f.name, f.kind); err != nil {
 			return err
 		}
-		f.mu.RLock()
-		keys := append([]string(nil), f.corder...)
-		children := make([]*Metric, len(keys))
-		for i, k := range keys {
-			children[i] = f.children[k]
-		}
-		f.mu.RUnlock()
-		for _, m := range children {
+		for _, m := range series {
 			if err := writeChild(w, f, m); err != nil {
 				return err
 			}
 		}
-	}
-	return nil
+		return nil
+	})
 }
 
 func writeChild(w io.Writer, f *Family, m *Metric) error {
@@ -505,27 +404,10 @@ type FamilySnapshot struct {
 // Snapshot returns a point-in-time copy of every family, for the JSON
 // debug endpoint. Families are sorted by name.
 func (r *Registry) Snapshot() []FamilySnapshot {
-	r.mu.RLock()
-	names := append([]string(nil), r.order...)
-	r.mu.RUnlock()
-	sort.Strings(names)
-	out := make([]FamilySnapshot, 0, len(names))
-	for _, name := range names {
-		r.mu.RLock()
-		f := r.fams[name]
-		r.mu.RUnlock()
-		if f == nil {
-			continue
-		}
+	out := []FamilySnapshot{}
+	r.walk(func(f *Family, series []*Metric) error {
 		fs := FamilySnapshot{Name: f.name, Help: f.help, Kind: f.kind.String()}
-		f.mu.RLock()
-		keys := append([]string(nil), f.corder...)
-		children := make([]*Metric, len(keys))
-		for i, k := range keys {
-			children[i] = f.children[k]
-		}
-		f.mu.RUnlock()
-		for _, m := range children {
+		for _, m := range series {
 			ss := SeriesSnapshot{}
 			if len(f.labelNames) > 0 {
 				ss.Labels = make(map[string]string, len(f.labelNames))
@@ -549,6 +431,7 @@ func (r *Registry) Snapshot() []FamilySnapshot {
 			fs.Series = append(fs.Series, ss)
 		}
 		out = append(out, fs)
-	}
+		return nil
+	})
 	return out
 }

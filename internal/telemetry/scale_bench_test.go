@@ -7,10 +7,8 @@ import (
 )
 
 // BenchmarkCounterHotPath measures one cached counter child under
-// concurrent increments. Run with -cpu 1,4,8 for the GOMAXPROCS
-// scaling study: the striped cells should hold per-op cost roughly
-// flat as writers are added, where a single CAS cell degrades under
-// contention.
+// concurrent increments: every writer CAS-adds into the series' one
+// atomic word. Run with -cpu 1,2 to see what a second writer costs.
 func BenchmarkCounterHotPath(b *testing.B) {
 	h := New(Options{})
 	m := h.Registry().Counter("bench_counter_total", "bench").With()
@@ -20,7 +18,7 @@ func BenchmarkCounterHotPath(b *testing.B) {
 		}
 	})
 	if got, want := m.Value(), float64(b.N); got != want {
-		b.Fatalf("count = %g, want %g (striping lost increments)", got, want)
+		b.Fatalf("count = %g, want %g (lost increments)", got, want)
 	}
 }
 
@@ -35,12 +33,13 @@ func BenchmarkHistogramHotPath(b *testing.B) {
 		}
 	})
 	if got, want := m.Count(), uint64(b.N); got != want {
-		b.Fatalf("count = %d, want %d (striping lost observations)", got, want)
+		b.Fatalf("count = %d, want %d (lost observations)", got, want)
 	}
 }
 
-// BenchmarkEmit measures the lock-free event ring under concurrent
-// emitters (no sink), the hot path of an eventful run.
+// BenchmarkEmit measures the event ring under concurrent emitters (no
+// sink), the hot path of an eventful run: each event takes the hub's
+// lock once.
 func BenchmarkEmit(b *testing.B) {
 	h := New(Options{RingSize: 4096})
 	b.RunParallel(func(pb *testing.PB) {
@@ -81,11 +80,11 @@ func BenchmarkEventfulNodes(b *testing.B) {
 	}
 }
 
-// TestStripedCellsConcurrentWriters pins the striping's correctness
-// contract under -race at high concurrency: 1024 writers hammering one
-// counter, one Add-gauge and one histogram child concurrently with
-// scrapes, and every write accounted for at the end.
-func TestStripedCellsConcurrentWriters(t *testing.T) {
+// TestConcurrentWriters pins the metrics' correctness contract under
+// -race at high concurrency: 1024 writers hammering one counter, one
+// Add-gauge and one histogram child concurrently with scrapes, and
+// every write accounted for at the end.
+func TestConcurrentWriters(t *testing.T) {
 	const writers, perWriter = 1024, 64
 	h := New(Options{})
 	counter := h.Registry().Counter("race_counter_total", "race").With()
@@ -140,9 +139,9 @@ func TestStripedCellsConcurrentWriters(t *testing.T) {
 	}
 }
 
-// TestEventRingConcurrentEmitters pins the lock-free ring under -race:
+// TestEventRingConcurrentEmitters pins the event ring under -race:
 // 1024 concurrent emitters, with readers snapshotting mid-stream; the
-// total claimed count must be exact and a quiesced snapshot full.
+// total emitted count must be exact and a quiesced snapshot full.
 func TestEventRingConcurrentEmitters(t *testing.T) {
 	const emitters, perEmitter = 1024, 16
 	h := New(Options{RingSize: 512})
@@ -173,8 +172,8 @@ func TestEventRingConcurrentEmitters(t *testing.T) {
 	wg.Wait()
 	snapWG.Wait()
 
-	if got := h.ringIdx.Load(); got != emitters*perEmitter {
-		t.Errorf("claimed %d events, want %d", got, emitters*perEmitter)
+	if got := h.emitted; got != emitters*perEmitter {
+		t.Errorf("emitted %d events, want %d", got, emitters*perEmitter)
 	}
 	if got := len(h.Events()); got != 512 {
 		t.Errorf("quiesced snapshot = %d events, want full ring of 512", got)
