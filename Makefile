@@ -73,14 +73,17 @@ memo-golden-smoke:
 	rm -f "$$tmp/seesaw-memo-on.txt" "$$tmp/seesaw-telemetry.txt" "$$tmp/ev.jsonl"; \
 	echo "memo golden smoke ok: memoized and instrumented reports are byte-identical"
 
-# cli-smoke pins two CLI routing rules and two input checks. `trace
-# -topology space-shared` runs the classic driver, as the default does,
-# so the two print byte-identical CSV. A job file with a topology
-# honours cap_mode: an in-transit job with "long+short" runs, and one
-# with "none" exits non-zero, because the workflow engine always
-# installs caps. `mdrun -dump FILE -dump-every 0` exits 1 with an
-# error, not a panic, and `mdrun -temp 0` (a cold start, equilibrated
-# at zero temperature) exits 0.
+# cli-smoke pins three CLI routing rules and two input checks. `trace`
+# runs the job-file path, so `trace -nodes 8 -steps 20` prints the same
+# CSV as `job -csv` on the equivalent job file, under time-shared and
+# space-shared placement alike. `trace -topology space-shared` runs
+# the classic driver, as the default does, so the two print
+# byte-identical CSV. A job file with a topology honours cap_mode: an
+# in-transit job with "long+short" runs, and one with "none" exits
+# non-zero, because the workflow engine always installs caps. `mdrun
+# -dump FILE -dump-every 0` exits 1 with an error, not a panic, and
+# `mdrun -temp 0` (a cold start, equilibrated at zero temperature)
+# exits 0.
 cli-smoke:
 	@tmp="$${TMPDIR:-/tmp}"; bin="$$tmp/seesawctl-cli-smoke"; mdbin="$$tmp/mdrun-cli-smoke"; \
 	job='{"nodes": 8, "dim": 8, "steps": 6, "analyses": [{"name": "msd1d"}], "topology": "in-transit", "cap_mode": '; \
@@ -93,7 +96,16 @@ cli-smoke:
 	fi; \
 	"$$mdbin" -temp 0 -steps 1 > /dev/null || { echo "mdrun -temp 0 failed"; exit 1; }; \
 	"$$bin" trace -nodes 8 -steps 20 > "$$tmp/seesaw-trace-default.csv" || exit 1; \
-	"$$bin" trace -nodes 8 -steps 20 -topology space-shared > "$$tmp/seesaw-trace-space-shared.csv" || exit 1; \
+	for topo in time-shared space-shared; do \
+		printf '{"nodes": 8, "dim": 16, "steps": 20, "analyses": [{"name": "msd"}], "policy": "seesaw", "seed": 1, "run_seed": 2, "topology": "%s"}\n' \
+			"$$topo" > "$$tmp/seesaw-job-$$topo.json"; \
+		"$$bin" trace -nodes 8 -steps 20 -topology $$topo > "$$tmp/seesaw-trace-$$topo.csv" || exit 1; \
+		"$$bin" job -csv "$$tmp/seesaw-job-$$topo.json" > "$$tmp/seesaw-job-$$topo.csv" || exit 1; \
+		if ! cmp -s "$$tmp/seesaw-trace-$$topo.csv" "$$tmp/seesaw-job-$$topo.csv"; then \
+			echo "trace -topology $$topo diverges from job -csv on the equivalent job file:"; \
+			diff "$$tmp/seesaw-trace-$$topo.csv" "$$tmp/seesaw-job-$$topo.csv" | head; exit 1; \
+		fi; \
+	done; \
 	if ! cmp -s "$$tmp/seesaw-trace-default.csv" "$$tmp/seesaw-trace-space-shared.csv"; then \
 		echo "trace -topology space-shared diverges from the default driver:"; \
 		diff "$$tmp/seesaw-trace-default.csv" "$$tmp/seesaw-trace-space-shared.csv" | head; exit 1; \
@@ -104,10 +116,13 @@ cli-smoke:
 	if "$$bin" job "$$tmp/seesaw-job-none.json" > /dev/null 2>&1; then \
 		echo 'in-transit job with cap_mode "none" was accepted'; exit 1; \
 	fi; \
-	rm -f "$$bin" "$$mdbin" "$$tmp/seesaw-trace-default.csv" "$$tmp/seesaw-trace-space-shared.csv" \
+	rm -f "$$bin" "$$mdbin" "$$tmp/seesaw-trace-default.csv" \
+		"$$tmp/seesaw-trace-time-shared.csv" "$$tmp/seesaw-trace-space-shared.csv" \
+		"$$tmp/seesaw-job-time-shared.json" "$$tmp/seesaw-job-space-shared.json" \
+		"$$tmp/seesaw-job-time-shared.csv" "$$tmp/seesaw-job-space-shared.csv" \
 		"$$tmp/seesaw-job-long-short.json" "$$tmp/seesaw-job-none.json" \
 		"$$tmp/mdrun-cli-smoke.xyz" "$$tmp/mdrun-cli-smoke.err"; \
-	echo "cli smoke ok: trace space-shared matches the default driver; topology jobs honour cap_mode; mdrun rejects -dump-every 0 and runs at -temp 0"
+	echo "cli smoke ok: trace matches job -csv (time-shared, space-shared); trace space-shared matches the default driver; topology jobs honour cap_mode; mdrun rejects -dump-every 0 and runs at -temp 0"
 
 # batch-race-smoke runs one 256-node batched grid sweep under the race
 # detector: the per-worker pooled episodes, the shared trace cache and

@@ -6,7 +6,7 @@
 //	seesawctl list                 # list experiment ids
 //	seesawctl experiments          # list experiments grouped into families
 //	seesawctl run <id> [flags]     # run one experiment (fig1..fig9b, table1, table2, abl-*)
-//	seesawctl all [flags]          # run every experiment in paper order
+//	seesawctl all [flags]          # run every experiment in report order
 //	seesawctl trace [flags]        # per-synchronization CSV of one policy cell
 //	seesawctl job <file.json>      # run a JSON-described job (see internal/jobfile)
 //	seesawctl serve [flags]        # run an experiment loop and serve live metrics over HTTP
@@ -43,14 +43,12 @@ import (
 	"syscall"
 
 	"seesaw/internal/bench"
-	"seesaw/internal/core"
 	"seesaw/internal/cosim"
-	"seesaw/internal/fault"
 	"seesaw/internal/jobfile"
 	"seesaw/internal/machine"
 	"seesaw/internal/policy"
 	"seesaw/internal/telemetry"
-	"seesaw/internal/units"
+	"seesaw/internal/trace"
 	"seesaw/internal/workflow"
 	"seesaw/internal/workload"
 )
@@ -228,64 +226,71 @@ func runJob(ctx context.Context, args []string) int {
 	}
 	hub, closeHub := mustOpenHub(*telPath)
 	defer closeHub()
-	if j.Topology != "" && j.Topology != "space-shared" {
-		wcfg, err := j.BuildWorkflow()
-		if err != nil {
-			return fail(ctx, err)
-		}
-		wcfg.Telemetry = hub
-		res, err := workflow.Run(ctx, wcfg)
-		if err != nil {
-			return fail(ctx, err)
-		}
-		if *csv {
-			if err := res.SyncLog.WriteCSV(os.Stdout); err != nil {
-				return fail(ctx, err)
-			}
-			return 0
-		}
-		fmt.Printf("topology %s with policy %s: total %.1f s, energy %.1f kJ, mean slack %.2f%%, transfer %.1f s\n",
-			j.Topology, wcfg.Policy.Name(),
-			float64(res.MainLoopTime), float64(res.TotalEnergy)/1000,
-			res.SyncLog.MeanSlackFrom(10)*100, float64(res.TransferSeconds))
-		return 0
-	}
-	cfg, err := j.Build()
-	if err != nil {
-		return fail(ctx, err)
-	}
-	cfg.Telemetry = hub
-	res, err := cosim.Run(ctx, cfg)
+	log, summary, err := execJob(ctx, j, hub)
 	if err != nil {
 		return fail(ctx, err)
 	}
 	if *csv {
-		if err := res.SyncLog.WriteCSV(os.Stdout); err != nil {
+		if err := log.WriteCSV(os.Stdout); err != nil {
 			return fail(ctx, err)
 		}
 		return 0
 	}
-	last := res.SyncLog.Records[res.SyncLog.Len()-1]
-	fmt.Printf("policy %s on %d nodes: total %.1f s, energy %.1f kJ, mean slack %.2f%%, final caps %.1f/%.1f W\n",
-		cfg.Policy.Name(), cfg.Spec.SimNodes+cfg.Spec.AnaNodes,
-		float64(res.TotalTime), float64(res.TotalEnergy)/1000,
-		res.SyncLog.MeanSlackFrom(10)*100, float64(last.SimCap), float64(last.AnaCap))
+	fmt.Println(summary)
 	return 0
 }
 
+// execJob runs j on the driver its topology selects: the classic
+// two-partition driver (internal/cosim) for space-shared jobs, the
+// workflow-graph engine (internal/workflow) for the others. It returns
+// the per-synchronization log and a one-line summary of the run.
+func execJob(ctx context.Context, j *jobfile.Job, hub *telemetry.Hub) (*trace.SyncLog, string, error) {
+	if j.Topology != "" && j.Topology != "space-shared" {
+		wcfg, err := j.BuildWorkflow()
+		if err != nil {
+			return nil, "", err
+		}
+		wcfg.Telemetry = hub
+		res, err := workflow.Run(ctx, wcfg)
+		if err != nil {
+			return nil, "", err
+		}
+		return res.SyncLog, fmt.Sprintf("topology %s with policy %s: total %.1f s, energy %.1f kJ, mean slack %.2f%%, transfer %.1f s",
+			j.Topology, wcfg.Policy.Name(),
+			float64(res.MainLoopTime), float64(res.TotalEnergy)/1000,
+			res.SyncLog.MeanSlackFrom(10)*100, float64(res.TransferSeconds)), nil
+	}
+	cfg, err := j.Build()
+	if err != nil {
+		return nil, "", err
+	}
+	cfg.Telemetry = hub
+	res, err := cosim.Run(ctx, cfg)
+	if err != nil {
+		return nil, "", err
+	}
+	last := res.SyncLog.Records[res.SyncLog.Len()-1]
+	return res.SyncLog, fmt.Sprintf("policy %s on %d nodes: total %.1f s, energy %.1f kJ, mean slack %.2f%%, final caps %.1f/%.1f W",
+		cfg.Policy.Name(), cfg.Spec.SimNodes+cfg.Spec.AnaNodes,
+		float64(res.TotalTime), float64(res.TotalEnergy)/1000,
+		res.SyncLog.MeanSlackFrom(10)*100, float64(last.SimCap), float64(last.AnaCap)), nil
+}
+
 // runTrace emits the per-synchronization log of one co-simulated cell as
-// CSV — the raw data behind the Figure 4 and Figure 5 plots.
+// CSV — the raw data behind the Figure 4 and Figure 5 plots. The flags
+// fill a job description, which runs exactly as `seesawctl job` runs
+// it; -seed N is the job's seed N and run seed N+1.
 func runTrace(ctx context.Context, args []string) int {
 	fs := flag.NewFlagSet("trace", flag.ExitOnError)
 	policyName := fs.String("policy", "seesaw", "power policy: "+strings.Join(policy.Names(), ", "))
-	analyses := fs.String("analyses", "msd", "comma-separated analyses, or 'all'")
+	analyses := fs.String("analyses", "msd", "comma-separated analyses, or 'all' for every analysis the problem size allows")
 	nodes := fs.Int("nodes", 128, "total nodes (split evenly)")
 	dim := fs.Int("dim", 16, "problem size")
-	j := fs.Int("j", 1, "synchronize every j-th step")
+	syncEvery := fs.Int("j", 1, "synchronize every j-th step")
 	w := fs.Int("w", 1, "reallocate every w synchronizations")
 	steps := fs.Int("steps", 400, "Verlet steps")
 	capPer := fs.Float64("cap", 110, "per-node budget (W)")
-	seed := fs.Uint64("seed", 1, "job seed")
+	seed := fs.Uint64("seed", 1, "job seed (>= 1)")
 	faults := fs.String("faults", "", "fault plan, e.g. 'kill:3@40,slow:0@10x2+20' (see internal/fault)")
 	classes := fs.String("classes", "", "device-class map, e.g. '0-63:cpu,64-127:gpu' (presets: "+strings.Join(machine.PresetNames(), ", ")+")")
 	topology := fs.String("topology", "", "workflow topology: space-shared (the default, on the classic driver), or time-shared, in-transit or dag on the workflow-graph engine")
@@ -293,89 +298,46 @@ func runTrace(ctx context.Context, args []string) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	plan, err := fault.Parse(*faults)
-	if err != nil {
-		return fail(ctx, err)
+	// A job file reads a zero seed, window or cap and an empty policy as
+	// its defaults; on the command line they are errors.
+	switch {
+	case *seed == 0:
+		return fail(ctx, errors.New("trace: -seed must be >= 1"))
+	case *w < 1:
+		return fail(ctx, fmt.Errorf("trace: -w must be >= 1, got %d", *w))
+	case *capPer <= 0:
+		return fail(ctx, fmt.Errorf("trace: -cap must be positive, got %g", *capPer))
+	case *policyName == "":
+		return fail(ctx, errors.New("trace: -policy must name a policy"))
 	}
-	classMap, err := machine.ParseClassMap(*classes)
-	if err != nil {
-		return fail(ctx, err)
-	}
-	hub, closeHub := mustOpenHub(*telPath)
-	defer closeHub()
-
 	var tasks []workload.AnalysisTask
 	if *analyses == "all" {
 		tasks = workload.AllAnalysesForDim(*dim)
 	} else {
 		tasks = workload.Tasks(strings.Split(*analyses, ",")...)
 	}
-	if *topology != "" && *topology != "space-shared" {
-		topo, terr := workflow.Build(*topology, workflow.Params{
-			Nodes: *nodes, Dim: *dim, J: *j, Steps: *steps, Analyses: tasks,
-		})
-		if terr != nil {
-			return fail(ctx, terr)
-		}
-		cons := topo.ScaleCaps(core.Constraints{
-			Budget: units.Watts(*capPer) * units.Watts(topo.PhysicalNodes), MinCap: 98, MaxCap: 215,
-		})
-		pol, perr := policy.New(*policyName, cons, *w)
-		if perr != nil {
-			return fail(ctx, perr)
-		}
-		res, rerr := workflow.Run(ctx, workflow.Config{
-			Graph:       topo.Graph,
-			Steps:       *steps,
-			SyncEvery:   *j,
-			Policy:      pol,
-			Constraints: cons,
-			Seed:        *seed,
-			RunSeed:     *seed + 1,
-			Noise:       machine.DefaultNoise(),
-			Faults:      plan,
-			Classes:     classMap,
-			Telemetry:   hub,
-		})
-		if rerr != nil {
-			return fail(ctx, rerr)
-		}
-		if err := res.SyncLog.WriteCSV(os.Stdout); err != nil {
-			return fail(ctx, err)
-		}
-		fmt.Fprintf(os.Stderr, "seesawctl trace: %s on %d nodes (%s), total %.1f s, mean slack %.2f%%, transfer %.1f s\n",
-			*policyName, *nodes, *topology, float64(res.MainLoopTime),
-			res.SyncLog.MeanSlackFrom(10)*100, float64(res.TransferSeconds))
-		return 0
+	j := &jobfile.Job{
+		Nodes: *nodes, Dim: *dim, J: *syncEvery, Steps: *steps,
+		Policy: *policyName, Window: *w, CapPerNodeW: *capPer,
+		Seed: *seed, RunSeed: *seed + 1,
+		Faults: *faults, Classes: *classes, Topology: *topology,
 	}
-	cons := core.Constraints{Budget: units.Watts(*capPer) * units.Watts(*nodes), MinCap: 98, MaxCap: 215}
-	pol, perr := policy.New(*policyName, cons, *w)
-	if perr != nil {
-		return fail(ctx, perr)
+	for _, t := range tasks {
+		j.Analyses = append(j.Analyses, jobfile.Analysis{Name: t.Name, Interval: t.Interval})
 	}
-	res, err := cosim.Run(ctx, cosim.Config{
-		Spec: workload.Spec{
-			SimNodes: *nodes / 2, AnaNodes: *nodes - *nodes/2,
-			Dim: *dim, J: *j, Steps: *steps, Analyses: tasks,
-		},
-		Policy:      pol,
-		Constraints: cons,
-		CapMode:     cosim.CapLong,
-		Seed:        *seed,
-		RunSeed:     *seed + 1,
-		Noise:       machine.DefaultNoise(),
-		Faults:      plan,
-		Classes:     classMap,
-		Telemetry:   hub,
-	})
+	if err := j.Validate(); err != nil {
+		return fail(ctx, err)
+	}
+	hub, closeHub := mustOpenHub(*telPath)
+	defer closeHub()
+	log, summary, err := execJob(ctx, j, hub)
 	if err != nil {
 		return fail(ctx, err)
 	}
-	if err := res.SyncLog.WriteCSV(os.Stdout); err != nil {
+	if err := log.WriteCSV(os.Stdout); err != nil {
 		return fail(ctx, err)
 	}
-	fmt.Fprintf(os.Stderr, "seesawctl trace: %s on %d nodes, total %.1f s, mean slack %.2f%%\n",
-		*policyName, *nodes, float64(res.TotalTime), res.SyncLog.MeanSlackFrom(10)*100)
+	fmt.Fprintln(os.Stderr, "seesawctl trace:", summary)
 	return 0
 }
 

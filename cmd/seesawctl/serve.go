@@ -15,6 +15,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
@@ -86,7 +87,9 @@ func runServe(ctx context.Context, args []string) int {
 			lap := o
 			lap.BaseSeed = o.BaseSeed + uint64(i)*1000003
 			fmt.Fprintf(os.Stderr, "seesawctl serve: %s lap %d (seed %d)\n", e.ID, i+1, lap.BaseSeed)
-			if err := e.Run(ctx, lap, discard{}); err != nil {
+			// The tables are discarded: serve readers consume the
+			// metrics endpoints instead.
+			if err := e.Run(ctx, lap, io.Discard); err != nil {
 				if ctx.Err() == nil {
 					fmt.Fprintf(os.Stderr, "seesawctl serve: %s: %v\n", e.ID, err)
 				}
@@ -124,9 +127,3 @@ func runServe(ctx context.Context, args []string) int {
 		return 130
 	}
 }
-
-// discard swallows the experiment's table output; serve readers consume
-// the metrics endpoints instead.
-type discard struct{}
-
-func (discard) Write(p []byte) (int, error) { return len(p), nil }

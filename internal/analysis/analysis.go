@@ -411,10 +411,3 @@ func binIndex(x, box float64, bins int) int {
 	}
 	return b
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -1,19 +1,18 @@
 // Package bench defines and runs the paper's experiments: every table
-// and figure of the evaluation (Section VII) has a registered experiment
-// that regenerates its rows/series on the simulated platform. The
-// seesawctl command exposes them on the command line; bench_test.go
-// exposes them as Go benchmarks.
+// and figure of the evaluation (Section VII) has an entry in the
+// package's one experiment table that regenerates its rows/series on
+// the simulated platform. The seesawctl command exposes them on the
+// command line, and WriteReport renders them all as one document.
 package bench
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"io"
-	"sort"
-	"strings"
+	"slices"
 
 	"seesaw/internal/campaign"
-
 	"seesaw/internal/core"
 	"seesaw/internal/cosim"
 	"seesaw/internal/fault"
@@ -74,47 +73,89 @@ type Experiment struct {
 	// engine's worker pool (bounded by Options.Jobs); cancelling ctx
 	// aborts queued and in-flight cells and returns the context error.
 	Run func(ctx context.Context, o Options, w io.Writer) error
+	// family names the Families entry the experiment is listed under.
+	family string
 }
 
-var registry = map[string]Experiment{}
-var order []string
-
-func register(e Experiment) {
-	if _, dup := registry[e.ID]; dup {
-		panic("bench: duplicate experiment id " + e.ID)
-	}
-	registry[e.ID] = e
-	order = append(order, e.ID)
+// experiments is every experiment in report order: the order
+// WriteReport renders them in, All returns and Families keeps within
+// each family. The report golden and benchmark/pinned.json are pinned
+// to this order.
+var experiments = []Experiment{
+	{ID: "abl-ewma", family: "ablations", Run: runAblEWMA,
+		Title: "Ablation: SeeSAw with and without the Eq. 3-4 EWMA damping under measurement noise"},
+	{ID: "abl-window", family: "ablations", Run: runAblWindow,
+		Title: "Ablation: measurement window w vs reactivity with an intermittent high-demand analysis"},
+	{ID: "abl-hier", family: "ablations", Run: runAblHier,
+		Title: "Extension: hierarchical (per-node) allocation vs uniform partition caps under node heterogeneity"},
+	{ID: "abl-explore", family: "ablations", Run: runAblExplore,
+		Title: "Extension: exploration probes vs plain SeeSAw on the low-demand local optimum"},
+	{ID: "abl-oracle", family: "ablations", Run: runAblOracle,
+		Title: "Reference: each policy vs the best static split found by exhaustive sweep"},
+	{ID: "ext-sched", family: "extensions", Run: runExtSched,
+		Title: "Extension: system-wide power management across concurrent in-situ jobs"},
+	{ID: "ext-powershift", family: "extensions", Run: runExtPowerShift,
+		Title: "Baseline: PowerShift-style offline profiles vs SeeSAw's online feedback"},
+	{ID: "abl-transient", family: "ablations", Run: runAblTransient,
+		Title: "Ablation: the simulation startup transient's effect on each policy"},
+	{ID: "faults", family: "faults", Run: runFaults,
+		Title: "Faults: policy resilience to a mid-run node kill and a 2x slow-node excursion (8 nodes, LAMMPS+MSD)"},
+	{ID: "fig1", family: "paper", Run: runFig1,
+		Title: "Fig 1: power trace of simulation and analysis nodes exposing periodic synchronization (200 ms sampling)"},
+	{ID: "fig2", family: "paper", Run: runFig2,
+		Title: "Fig 2: shifting power between two tasks so both finish at an earlier, equal time"},
+	{ID: "table1", family: "paper", Run: runTable1,
+		Title: "Table I: run-to-run and job-to-job variability across 7 runs for different power-cap types (128 nodes)"},
+	{ID: "fig3a", family: "paper", Run: runFig3a,
+		Title: "Fig 3a: policy performance vs the static baseline for different analyses (128 nodes, w=1, j=1, median of 3)"},
+	{ID: "fig3b", family: "paper", Run: runFig3b,
+		Title: "Fig 3b: policy performance at scale (256-1024 nodes, median of 3)"},
+	{ID: "fig4", family: "paper", Run: runFig4,
+		Title: "Fig 4: per-synchronization power allocation and normalized slack, LAMMPS+MSD on 128 nodes (dim=16, j=1)"},
+	{ID: "fig5", family: "paper", Run: runFig5,
+		Title: "Fig 5: allocated vs measured power at 1024 nodes (all analyses), SeeSAw vs time-aware"},
+	{ID: "search", family: "search", Run: runSearchExperiment,
+		Title: "Search: batched rollouts rank fixed policies against a per-window bandit across fault and topology scenarios (8 nodes, LAMMPS+MSD)"},
+	{ID: "fig6", family: "paper", Run: runFig6,
+		Title: "Fig 6: SeeSAw window w and LAMMPS synchronization rate j (1024 nodes, dim=48, all analyses)"},
+	{ID: "table2", family: "paper", Run: runTable2,
+		Title: "Table II: SeeSAw improvement with mixed analysis intervals (128 nodes, dim=16, w=1, median of 3)"},
+	{ID: "fig7", family: "paper", Run: runFig7,
+		Title: "Fig 7: unbalanced initial power distributions (128 nodes, dim=36, all analyses, w=2, j=1)"},
+	{ID: "fig8", family: "paper", Run: runFig8,
+		Title: "Fig 8: SeeSAw improvement over static for varying power caps (diminishing returns past ~140 W)"},
+	{ID: "fig9a", family: "paper", Run: runFig9a,
+		Title: "Fig 9a: SeeSAw overhead as a percentage of each synchronization interval (128 and 1024 nodes)"},
+	{ID: "fig9b", family: "paper", Run: runFig9b,
+		Title: "Fig 9b: standalone SeeSAw allocation duration across power caps (loop of 10 iterations)"},
+	{ID: "topologies", family: "topologies", Run: runTopologies,
+		Title: "Topologies: the four policies across space-shared, time-shared, in-transit and DAG placements (16 nodes, workflow engine)"},
+	{ID: "hetero", family: "hetero", Run: runHetero,
+		Title: "Heterogeneity: the four policies on mixed CPU/GPU partitions vs the uniform static division (8 nodes, LAMMPS+MSD)"},
 }
 
 // Get returns the experiment with the given id.
 func Get(id string) (Experiment, bool) {
-	e, ok := registry[id]
-	return e, ok
-}
-
-// All returns every experiment in registration (paper) order.
-func All() []Experiment {
-	es := make([]Experiment, 0, len(order))
-	for _, id := range order {
-		es = append(es, registry[id])
+	for _, e := range experiments {
+		if e.ID == id {
+			return e, true
+		}
 	}
-	return es
+	return Experiment{}, false
 }
 
-// IDs returns the registered experiment ids in order.
-func IDs() []string { return append([]string(nil), order...) }
+// All returns every experiment in report order.
+func All() []Experiment { return slices.Clone(experiments) }
 
-// sortedIDs returns ids sorted lexicographically (for error messages).
-func sortedIDs() []string {
-	ids := IDs()
-	sort.Strings(ids)
-	return ids
-}
-
-// UnknownExperimentError formats a helpful error for a bad id.
+// UnknownExperimentError formats a helpful error for a bad id, listing
+// the valid ids sorted.
 func UnknownExperimentError(id string) error {
-	return fmt.Errorf("bench: unknown experiment %q (have %v)", id, sortedIDs())
+	ids := make([]string, len(experiments))
+	for i, e := range experiments {
+		ids[i] = e.ID
+	}
+	slices.Sort(ids)
+	return fmt.Errorf("bench: unknown experiment %q (have %v)", id, ids)
 }
 
 // Family groups related experiments for listings (seesawctl
@@ -125,12 +166,12 @@ type Family struct {
 	// Description is a one-line summary of what the family's
 	// experiments measure.
 	Description string
-	// IDs lists the member experiments in registration order.
+	// IDs lists the member experiments in report order.
 	IDs []string
 }
 
-// Families returns the registered experiments grouped into families, in
-// registration (paper) order within each family.
+// Families returns the experiments grouped into families, in report
+// order within each family.
 func Families() []Family {
 	fams := []Family{
 		{Name: "paper", Description: "the paper's figures and tables (Section VII) regenerated on the simulated platform"},
@@ -141,27 +182,9 @@ func Families() []Family {
 		{Name: "search", Description: "batched policy search through the rollout environment: fixed policies vs a per-window bandit"},
 		{Name: "hetero", Description: "heterogeneous device classes: the four policies on mixed CPU/GPU partitions vs the uniform static division"},
 	}
-	idx := map[string]int{}
-	for i, f := range fams {
-		idx[f.Name] = i
-	}
-	for _, id := range order {
-		f := "paper"
-		switch {
-		case strings.HasPrefix(id, "abl-"):
-			f = "ablations"
-		case strings.HasPrefix(id, "ext-"):
-			f = "extensions"
-		case id == "faults":
-			f = "faults"
-		case id == "topologies":
-			f = "topologies"
-		case id == "search":
-			f = "search"
-		case id == "hetero":
-			f = "hetero"
-		}
-		fams[idx[f]].IDs = append(fams[idx[f]].IDs, id)
+	for _, e := range experiments {
+		i := slices.IndexFunc(fams, func(f Family) bool { return f.Name == e.family })
+		fams[i].IDs = append(fams[i].IDs, e.ID)
 	}
 	return fams
 }
@@ -188,41 +211,57 @@ func constraintsFor(n int, capPerNode units.Watts) core.Constraints {
 	return core.Constraints{Budget: capPerNode * units.Watts(n), MinCap: minCap, MaxCap: maxCap}
 }
 
-// cell describes one co-simulated job cell.
+// cell describes one co-simulated job. A cell that sets only the
+// workload, the seeds and a registry policy runs the paper's setup:
+// 110 W per node on the 98-215 W range, long-term caps from an even
+// split, w=1 and the default noise model.
 type cell struct {
-	spec       workload.Spec
-	policy     string
-	window     int
+	spec   workload.Spec
+	policy string
+	window int
+	// factory, when set, builds the policy in place of the registry
+	// name: the ablations' allocators that have no registry entry.
+	factory    policy.Factory
 	capPerNode units.Watts
-	capMode    cosim.CapMode
-	simStart   units.Watts
-	anaStart   units.Watts
-	jobSeed    uint64
-	runSeed    uint64
-	faults     *fault.Plan
-	classes    *machine.ClassMap
-	telemetry  *telemetry.Hub
+	// capMode's zero value, cosim.CapNone, means cosim.CapLong here;
+	// uncapped asks for an uncapped run.
+	capMode  cosim.CapMode
+	uncapped bool
+	simStart units.Watts
+	anaStart units.Watts
+	jobSeed  uint64
+	runSeed  uint64
+	// noise is the job's variability model; zero means
+	// machine.DefaultNoise().
+	noise         machine.NoiseModel
+	traceSegments bool
+	faults        *fault.Plan
+	classes       *machine.ClassMap
+	telemetry     *telemetry.Hub
 }
 
-// runCell executes one job.
+// runCell executes one job. It is the harness's one path to cosim.Run.
 func runCell(ctx context.Context, c cell) (*cosim.Result, error) {
 	n := c.spec.SimNodes + c.spec.AnaNodes
-	capPer := c.capPerNode
-	if capPer == 0 {
-		capPer = defaultCap
+	cons := constraintsFor(n, cmp.Or(c.capPerNode, defaultCap))
+	w := max(c.window, 1)
+	var pol core.Policy
+	var err error
+	if c.factory != nil {
+		pol, err = c.factory(cons, w)
+	} else {
+		pol, err = policy.New(c.policy, cons, w)
 	}
-	cons := constraintsFor(n, capPer)
-	w := c.window
-	if w < 1 {
-		w = 1
-	}
-	pol, err := policy.New(c.policy, cons, w)
 	if err != nil {
 		return nil, err
 	}
-	mode := c.capMode
-	if mode == 0 && c.policy != "none" {
-		mode = cosim.CapLong
+	mode := cmp.Or(c.capMode, cosim.CapLong)
+	if c.uncapped {
+		mode = cosim.CapNone
+	}
+	noise := c.noise
+	if noise == (machine.NoiseModel{}) {
+		noise = machine.DefaultNoise()
 	}
 	return cosim.Run(ctx, cosim.Config{
 		Spec:          c.spec,
@@ -233,7 +272,8 @@ func runCell(ctx context.Context, c cell) (*cosim.Result, error) {
 		CapMode:       mode,
 		Seed:          c.jobSeed,
 		RunSeed:       c.runSeed,
-		Noise:         machine.DefaultNoise(),
+		Noise:         noise,
+		TraceSegments: c.traceSegments,
 		Faults:        c.faults,
 		Classes:       c.classes,
 		Telemetry:     c.telemetry,
@@ -242,8 +282,9 @@ func runCell(ctx context.Context, c cell) (*cosim.Result, error) {
 
 // enum accumulates one experiment's campaign cells. Experiments run in
 // three phases: enumerate every independent job as a cell (addCell,
-// paired), execute them all on the worker pool (run), then render the
-// tables from the ordered results via the getters addCell returned.
+// result, baseline, paired), execute them all on the worker pool (run),
+// then render the tables from the ordered results via the getters those
+// returned.
 type enum struct {
 	name  string
 	cells []campaign.Cell
@@ -284,6 +325,14 @@ func addCell[T any](e *enum, key string, seed uint64, fn func(ctx context.Contex
 		}
 		return e.res[idx].Value.(T)
 	}
+}
+
+// result enumerates job c as a cell under key and returns a getter for
+// its result.
+func (e *enum) result(key string, c cell) func() *cosim.Result {
+	return addCell(e, key, c.jobSeed, func(ctx context.Context) (*cosim.Result, error) {
+		return runCell(ctx, c)
+	})
 }
 
 // paired enumerates each repeat of the paper's paired policy-vs-static
@@ -335,7 +384,7 @@ func (e *enum) baseline(key string, c cell) func() units.Seconds {
 	if g, ok := e.baselines[k]; ok {
 		return g
 	}
-	c.policy, c.window = "static", 1
+	c.policy, c.window, c.factory = "static", 1, nil
 	g := addCell(e, key, c.jobSeed, func(ctx context.Context) (units.Seconds, error) {
 		res, err := runCell(ctx, c)
 		if err != nil {
@@ -348,15 +397,21 @@ func (e *enum) baseline(key string, c cell) func() units.Seconds {
 }
 
 // baselineKey identifies the static baseline of job c. It renders every
-// cell field, so two jobs that differ anywhere but policy and window
-// never share a baseline. Those two are fixed: the baseline's policy is
-// static by definition, and the static factory ignores the window.
+// cell field, so two jobs that differ anywhere but their policy never
+// share a baseline. The policy fields are fixed: the baseline's policy
+// is static by definition, and the static factory ignores the window.
 // Pointer fields render as addresses. That is sound because the
 // baseline cell keeps its pointers alive, so no address can be reused
 // for another value while its key is in the map.
 func baselineKey(c cell) string {
-	c.policy, c.window = "static", 1
+	c.policy, c.window, c.factory = "static", 1, nil
 	return fmt.Sprintf("%#v", c)
+}
+
+// impPct renders a paired getter's median improvement, e.g. "+3.21%".
+func impPct(g func() (imp, slack float64)) string {
+	imp, _ := g()
+	return fmt.Sprintf("%+.2f%%", imp)
 }
 
 // improvementPct is (base - x)/base in percent: positive = faster than

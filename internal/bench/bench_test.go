@@ -20,28 +20,42 @@ func fastOptions() Options {
 	return Options{Steps: 25, Runs: 1, BaseSeed: 3}
 }
 
+// ids returns the experiment table's ids in report order.
+func ids() []string {
+	var out []string
+	for _, e := range All() {
+		out = append(out, e.ID)
+	}
+	return out
+}
+
 func TestRegistryComplete(t *testing.T) {
 	want := []string{"fig1", "fig2", "table1", "fig3a", "fig3b", "fig4", "fig5",
 		"fig6", "table2", "fig7", "fig8", "fig9a", "fig9b",
 		"abl-ewma", "abl-window", "abl-hier", "abl-explore", "abl-oracle", "ext-sched", "ext-powershift", "abl-transient",
 		"faults", "topologies", "search", "hetero"}
 	have := map[string]bool{}
-	for _, id := range IDs() {
+	for _, id := range ids() {
+		if have[id] {
+			t.Errorf("experiment %s listed twice", id)
+		}
 		have[id] = true
 	}
 	for _, id := range want {
 		if !have[id] {
-			t.Errorf("experiment %s not registered", id)
+			t.Errorf("experiment %s not in the table", id)
 		}
 	}
-	if len(IDs()) != len(want) {
-		t.Errorf("registry has %d experiments, want %d", len(IDs()), len(want))
+	if len(ids()) != len(want) {
+		t.Errorf("table has %d experiments, want %d", len(ids()), len(want))
 	}
 }
 
 func TestFamiliesPartitionRegistry(t *testing.T) {
+	names := map[string]bool{}
 	seen := map[string]string{}
 	for _, f := range Families() {
+		names[f.Name] = true
 		if f.Description == "" {
 			t.Errorf("family %s has no description", f.Name)
 		}
@@ -55,13 +69,16 @@ func TestFamiliesPartitionRegistry(t *testing.T) {
 			seen[id] = f.Name
 		}
 	}
-	for _, id := range IDs() {
-		if _, ok := seen[id]; !ok {
-			t.Errorf("experiment %s missing from all families", id)
+	for _, e := range All() {
+		if !names[e.family] {
+			t.Errorf("experiment %s has family %q, not one of Families()", e.ID, e.family)
+		}
+		if seen[e.ID] != e.family {
+			t.Errorf("experiment %s listed under %q, want its family %q", e.ID, seen[e.ID], e.family)
 		}
 	}
-	if len(seen) != len(IDs()) {
-		t.Errorf("families list %d experiments, registry has %d", len(seen), len(IDs()))
+	if len(seen) != len(All()) {
+		t.Errorf("families list %d experiments, table has %d", len(seen), len(All()))
 	}
 }
 
@@ -138,7 +155,7 @@ func TestMedianImprovementPairsJobs(t *testing.T) {
 // TestBaselineKeyCoversCell guards the shared-baseline map against
 // aliasing two different jobs: setting any cell field (recursing into
 // struct fields) to a non-zero value must change baselineKey, except
-// policy and window, which the static baseline fixes.
+// policy, window and factory, which the static baseline fixes.
 func TestBaselineKeyCoversCell(t *testing.T) {
 	zero := baselineKey(cell{})
 	var walk func(typ reflect.Type, path []int, name string)
@@ -156,7 +173,7 @@ func TestBaselineKeyCoversCell(t *testing.T) {
 			// Unexported fields are not settable through reflect; write
 			// through the field's address instead.
 			reflect.NewAt(fv.Type(), unsafe.Pointer(fv.UnsafeAddr())).Elem().Set(nonZero(t, n, f.Type))
-			ignored := n == ".policy" || n == ".window"
+			ignored := n == ".policy" || n == ".window" || n == ".factory"
 			if changed := baselineKey(c) != zero; changed == ignored {
 				t.Errorf("cell%s set to non-zero: key changed = %v, want %v", n, changed, !ignored)
 			}
@@ -185,6 +202,10 @@ func nonZero(t *testing.T, name string, typ reflect.Type) reflect.Value {
 		v.Set(reflect.MakeSlice(typ, 1, 1))
 	case reflect.Map:
 		v.Set(reflect.MakeMap(typ))
+	case reflect.Func:
+		v.Set(reflect.MakeFunc(typ, func([]reflect.Value) []reflect.Value {
+			panic("cell" + name + " called")
+		}))
 	default:
 		t.Fatalf("cell%s: kind %s has no non-zero value here; extend nonZero", name, typ.Kind())
 	}
@@ -192,13 +213,14 @@ func nonZero(t *testing.T, name string, typ reflect.Type) reflect.Value {
 }
 
 // TestPairedSharesBaselineCells pins the baseline dedupe: at one run
-// per point, fig3a, fig3b and fig6 enumerate one cell per compared
-// policy or window plus one static baseline per distinct job.
+// per point, fig3a, fig3b, fig6 and abl-window enumerate one cell per
+// compared policy or window plus one static baseline per distinct job.
 func TestPairedSharesBaselineCells(t *testing.T) {
 	for id, want := range map[string]float64{
-		"fig3a": 6*3 + 6, // 6 analyses x 3 policies, one baseline per analysis
-		"fig3b": 9*3 + 9, // 3 workloads x 3 scales x 3 policies, one baseline per job
-		"fig6":  5*3 + 3, // 5 windows x 3 sync rates, one baseline per sync rate
+		"fig3a":      6*3 + 6, // 6 analyses x 3 policies, one baseline per analysis
+		"fig3b":      9*3 + 9, // 3 workloads x 3 scales x 3 policies, one baseline per job
+		"fig6":       5*3 + 3, // 5 windows x 3 sync rates, one baseline per sync rate
+		"abl-window": 5 + 1,   // 5 windows, one baseline for them all
 	} {
 		hub := telemetry.New(telemetry.Options{})
 		e, _ := Get(id)

@@ -14,80 +14,10 @@ import (
 	"seesaw/internal/machine"
 	"seesaw/internal/policy"
 	"seesaw/internal/sched"
-	"seesaw/internal/stats"
 	"seesaw/internal/trace"
 	"seesaw/internal/units"
 	"seesaw/internal/workload"
 )
-
-func init() {
-	register(Experiment{
-		ID:    "abl-ewma",
-		Title: "Ablation: SeeSAw with and without the Eq. 3-4 EWMA damping under measurement noise",
-		Run:   runAblEWMA,
-	})
-	register(Experiment{
-		ID:    "abl-window",
-		Title: "Ablation: measurement window w vs reactivity with an intermittent high-demand analysis",
-		Run:   runAblWindow,
-	})
-	register(Experiment{
-		ID:    "abl-hier",
-		Title: "Extension: hierarchical (per-node) allocation vs uniform partition caps under node heterogeneity",
-		Run:   runAblHier,
-	})
-	register(Experiment{
-		ID:    "abl-explore",
-		Title: "Extension: exploration probes vs plain SeeSAw on the low-demand local optimum",
-		Run:   runAblExplore,
-	})
-	register(Experiment{
-		ID:    "abl-oracle",
-		Title: "Reference: each policy vs the best static split found by exhaustive sweep",
-		Run:   runAblOracle,
-	})
-	register(Experiment{
-		ID:    "ext-sched",
-		Title: "Extension: system-wide power management across concurrent in-situ jobs",
-		Run:   runExtSched,
-	})
-	register(Experiment{
-		ID:    "ext-powershift",
-		Title: "Baseline: PowerShift-style offline profiles vs SeeSAw's online feedback",
-		Run:   runExtPowerShift,
-	})
-	register(Experiment{
-		ID:    "abl-transient",
-		Title: "Ablation: the simulation startup transient's effect on each policy",
-		Run:   runAblTransient,
-	})
-}
-
-// ablRun executes one job with an explicitly constructed policy.
-func ablRun(ctx context.Context, spec workload.Spec, policy core.Policy, cons core.Constraints,
-	noise machine.NoiseModel, seed uint64) (*cosim.Result, error) {
-	return cosim.Run(ctx, cosim.Config{
-		Spec: spec, Policy: policy, Constraints: cons,
-		CapMode: cosim.CapLong, Seed: seed, RunSeed: seed + 1, Noise: noise,
-	})
-}
-
-// ablTimeCell enumerates one ablRun cell returning its total time. The
-// policy is constructed inside the cell (policies are stateful and must
-// not be shared across cells).
-func ablTimeCell(e *enum, key string, spec workload.Spec, mk func() core.Policy,
-	cons core.Constraints, noise machine.NoiseModel, seed uint64) func() units.Seconds {
-	return addCell(e, key, seed, func(ctx context.Context) (units.Seconds, error) {
-		res, err := ablRun(ctx, spec, mk(), cons, noise, seed)
-		if err != nil {
-			return 0, err
-		}
-		return res.TotalTime, nil
-	})
-}
-
-// mkStatic adapts core.NewStatic to the policy-factory shape cells use.
-func mkStatic() core.Policy { return core.NewStatic() }
 
 // runAblEWMA compares damped vs undamped SeeSAw at increasing
 // power-measurement noise: without the EWMA the allocator chases ripple.
@@ -97,28 +27,20 @@ func runAblEWMA(ctx context.Context, o Options, w io.Writer) error {
 	// power average barely filters per-node ripple, so the EWMA is the
 	// only guard (at 64+ nodes the averaging itself hides this effect).
 	spec := specAt(8, defaultDim, 1, steps, workload.Tasks("msd"))
-	cons := constraintsFor(8, defaultCap)
 	sigmas := []float64{0.0, 0.035, 0.10}
-
-	type row struct {
-		base, with, without func() units.Seconds
+	noEWMA := func(cons core.Constraints, window int) (core.Policy, error) {
+		return core.NewSeeSAw(core.SeeSAwConfig{Constraints: cons, Window: window, NoEWMA: true})
 	}
+
 	e := newEnum("abl-ewma")
-	var rows []row
+	var with, without []func() (float64, float64)
 	for _, sigma := range sigmas {
-		noise := machine.DefaultNoise()
-		noise.PowerSigma = sigma
-		mkSeeSAw := func(noEWMA bool) func() core.Policy {
-			return func() core.Policy {
-				return core.MustNewSeeSAw(core.SeeSAwConfig{Constraints: cons, Window: 1, NoEWMA: noEWMA})
-			}
-		}
+		c := cell{spec: spec, policy: "seesaw", noise: machine.DefaultNoise(), telemetry: o.Telemetry}
+		c.noise.PowerSigma = sigma
 		prefix := fmt.Sprintf("sigma%.3f", sigma)
-		rows = append(rows, row{
-			base:    ablTimeCell(e, prefix+"/static", spec, mkStatic, cons, noise, o.BaseSeed+201),
-			with:    ablTimeCell(e, prefix+"/ewma", spec, mkSeeSAw(false), cons, noise, o.BaseSeed+201),
-			without: ablTimeCell(e, prefix+"/no-ewma", spec, mkSeeSAw(true), cons, noise, o.BaseSeed+201),
-		})
+		with = append(with, e.paired(prefix+"/ewma", c, 1, o.BaseSeed+201))
+		c.factory = noEWMA
+		without = append(without, e.paired(prefix+"/no-ewma", c, 1, o.BaseSeed+201))
 	}
 	if err := e.run(ctx, o); err != nil {
 		return err
@@ -127,10 +49,7 @@ func runAblEWMA(ctx context.Context, o Options, w io.Writer) error {
 	tbl := trace.NewTable("SeeSAw improvement over static, with and without EWMA damping (4+4 nodes)",
 		"power ripple sigma", "with EWMA", "without EWMA")
 	for i, sigma := range sigmas {
-		base := rows[i].base()
-		tbl.AddRow(fmt.Sprintf("%.3f", sigma),
-			fmt.Sprintf("%+.2f%%", improvementPct(base, rows[i].with())),
-			fmt.Sprintf("%+.2f%%", improvementPct(base, rows[i].without())))
+		tbl.AddRow(fmt.Sprintf("%.3f", sigma), impPct(with[i]), impPct(without[i]))
 	}
 	return tbl.Render(w)
 }
@@ -143,35 +62,20 @@ func runAblEWMA(ctx context.Context, o Options, w io.Writer) error {
 func runAblWindow(ctx context.Context, o Options, w io.Writer) error {
 	steps := o.steps(defaultSteps)
 	spec := specAt(8, defaultDim, 1, steps, workload.Tasks("msd"))
-	cons := constraintsFor(8, defaultCap)
 	noise := machine.DefaultNoise()
 	noise.PowerSigma = 0.10
 	noise.JitterSigma = 0.02
 	windows := []int{1, 2, 4, 8, 16}
 	runs := o.runs(defaultRuns)
 
+	// Every window pairs with the same static job, so each repeat's
+	// baseline runs once for all five windows.
 	e := newEnum("abl-window")
-	var getters [][]func() float64 // [window][repeat] -> improvement
+	var getters []func() (float64, float64)
 	for _, win := range windows {
-		win := win
-		var reps []func() float64
-		for r := 0; r < runs; r++ {
-			seed := o.BaseSeed + 211 + uint64(r)*defaultSeedGap
-			reps = append(reps, addCell(e, fmt.Sprintf("w%d/r%d", win, r), seed,
-				func(ctx context.Context) (float64, error) {
-					base, err := ablRun(ctx, spec, core.NewStatic(), cons, noise, seed)
-					if err != nil {
-						return 0, err
-					}
-					ss := core.MustNewSeeSAw(core.SeeSAwConfig{Constraints: cons, Window: win})
-					res, err := ablRun(ctx, spec, ss, cons, noise, seed)
-					if err != nil {
-						return 0, err
-					}
-					return improvementPct(base.TotalTime, res.TotalTime), nil
-				}))
-		}
-		getters = append(getters, reps)
+		getters = append(getters, e.paired(fmt.Sprintf("w%d", win), cell{
+			spec: spec, policy: "seesaw", window: win, noise: noise, telemetry: o.Telemetry,
+		}, runs, o.BaseSeed+211))
 	}
 	if err := e.run(ctx, o); err != nil {
 		return err
@@ -180,11 +84,7 @@ func runAblWindow(ctx context.Context, o Options, w io.Writer) error {
 	tbl := trace.NewTable("SeeSAw improvement over static under heavy measurement noise (4+4 nodes)",
 		"w", "improvement")
 	for i, win := range windows {
-		imps := make([]float64, len(getters[i]))
-		for r, g := range getters[i] {
-			imps[r] = g()
-		}
-		tbl.AddRow(win, fmt.Sprintf("%+.2f%%", stats.Median(imps)))
+		tbl.AddRow(win, impPct(getters[i]))
 	}
 	return tbl.Render(w)
 }
@@ -195,28 +95,21 @@ func runAblWindow(ctx context.Context, o Options, w io.Writer) error {
 func runAblHier(ctx context.Context, o Options, w io.Writer) error {
 	steps := o.steps(defaultSteps)
 	spec := spec128(defaultMidDim, 1, steps, workload.Tasks("vacf"))
-	cons := constraintsFor(2*nodes128Half, defaultCap)
 	skews := []float64{0.004, 0.012, 0.025}
-
-	type row struct {
-		base, plain, hier func() units.Seconds
+	hierarchical := func(cons core.Constraints, _ int) (core.Policy, error) {
+		return core.NewHierarchical(core.DefaultHierarchicalConfig(cons))
 	}
+
 	e := newEnum("abl-hier")
-	var rows []row
+	var plain, hier []func() (float64, float64)
 	for _, skew := range skews {
-		noise := machine.DefaultNoise()
-		noise.SkewSigma = skew
-		noise.PowerEffSigma = skew
+		c := cell{spec: spec, policy: "seesaw", noise: machine.DefaultNoise(), telemetry: o.Telemetry}
+		c.noise.SkewSigma = skew
+		c.noise.PowerEffSigma = skew
 		prefix := fmt.Sprintf("skew%.3f", skew)
-		rows = append(rows, row{
-			base: ablTimeCell(e, prefix+"/static", spec, mkStatic, cons, noise, o.BaseSeed+221),
-			plain: ablTimeCell(e, prefix+"/plain", spec, func() core.Policy {
-				return core.MustNewSeeSAw(core.SeeSAwConfig{Constraints: cons, Window: 1})
-			}, cons, noise, o.BaseSeed+221),
-			hier: ablTimeCell(e, prefix+"/hier", spec, func() core.Policy {
-				return core.MustNewHierarchical(DefaultHier(cons))
-			}, cons, noise, o.BaseSeed+221),
-		})
+		plain = append(plain, e.paired(prefix+"/plain", c, 1, o.BaseSeed+221))
+		c.factory = hierarchical
+		hier = append(hier, e.paired(prefix+"/hier", c, 1, o.BaseSeed+221))
 	}
 	if err := e.run(ctx, o); err != nil {
 		return err
@@ -225,18 +118,9 @@ func runAblHier(ctx context.Context, o Options, w io.Writer) error {
 	tbl := trace.NewTable("Runtime vs static under increasing node heterogeneity (128 nodes, VACF)",
 		"node skew sigma", "seesaw", "seesaw-hierarchical")
 	for i, skew := range skews {
-		base := rows[i].base()
-		tbl.AddRow(fmt.Sprintf("%.3f", skew),
-			fmt.Sprintf("%+.2f%%", improvementPct(base, rows[i].plain())),
-			fmt.Sprintf("%+.2f%%", improvementPct(base, rows[i].hier())))
+		tbl.AddRow(fmt.Sprintf("%.3f", skew), impPct(plain[i]), impPct(hier[i]))
 	}
 	return tbl.Render(w)
-}
-
-// DefaultHier adapts the hierarchical defaults for the ablation.
-func DefaultHier(c core.Constraints) core.HierarchicalConfig {
-	cfg := core.DefaultHierarchicalConfig(c)
-	return cfg
 }
 
 // runAblExplore targets the local optimum of Section VII-B2: plain
@@ -244,30 +128,29 @@ func DefaultHier(c core.Constraints) core.HierarchicalConfig {
 // draw flattens; exploration probes test whether pushing further pays.
 func runAblExplore(ctx context.Context, o Options, w io.Writer) error {
 	steps := o.steps(defaultSteps)
-	cons := constraintsFor(2*nodes128Half, defaultCap)
 	names := []string{"rdf", "vacf"}
-	mks := []func() core.Policy{
-		func() core.Policy { return core.MustNewSeeSAw(core.SeeSAwConfig{Constraints: cons, Window: 1}) },
-		func() core.Policy { return core.MustNewExploringSeeSAw(core.DefaultExploringConfig(cons)) },
-		func() core.Policy { return core.MustNewTimeAware(core.DefaultTimeAwareConfig(cons)) },
+	variants := []struct {
+		label string
+		c     cell
+	}{
+		{"seesaw", cell{policy: "seesaw"}},
+		{"explore", cell{factory: func(cons core.Constraints, _ int) (core.Policy, error) {
+			return core.NewExploringSeeSAw(core.DefaultExploringConfig(cons))
+		}}},
+		{"time-aware", cell{policy: "time-aware"}},
 	}
-	mkLabels := []string{"seesaw", "explore", "time-aware"}
 
-	type row struct {
-		base     func() units.Seconds
-		policies []func() units.Seconds
-	}
 	e := newEnum("abl-explore")
-	var rows []row
+	var rows [][]func() (float64, float64) // [analysis][variant]
 	for _, name := range names {
-		spec := spec128(defaultMidDim, 1, steps, workload.Tasks(name))
-		noise := machine.DefaultNoise()
-		rw := row{base: ablTimeCell(e, name+"/static", spec, mkStatic, cons, noise, o.BaseSeed+231)}
-		for i, mk := range mks {
-			rw.policies = append(rw.policies,
-				ablTimeCell(e, name+"/"+mkLabels[i], spec, mk, cons, noise, o.BaseSeed+231))
+		var row []func() (float64, float64)
+		for _, v := range variants {
+			c := v.c
+			c.spec = spec128(defaultMidDim, 1, steps, workload.Tasks(name))
+			c.telemetry = o.Telemetry
+			row = append(row, e.paired(name+"/"+v.label, c, 1, o.BaseSeed+231))
 		}
-		rows = append(rows, rw)
+		rows = append(rows, row)
 	}
 	if err := e.run(ctx, o); err != nil {
 		return err
@@ -276,10 +159,9 @@ func runAblExplore(ctx context.Context, o Options, w io.Writer) error {
 	tbl := trace.NewTable("Low-demand analyses at dim=36: escaping the local optimum",
 		"analysis", "seesaw", "seesaw-explore", "time-aware (upper reference)")
 	for i, name := range names {
-		base := rows[i].base()
 		out := []any{name}
-		for _, g := range rows[i].policies {
-			out = append(out, fmt.Sprintf("%+.2f%%", improvementPct(base, g())))
+		for _, g := range rows[i] {
+			out = append(out, impPct(g))
 		}
 		tbl.AddRow(out...)
 	}
@@ -291,35 +173,19 @@ func runAblExplore(ctx context.Context, o Options, w io.Writer) error {
 // policy's MSD failure is the transient's doing.
 func runAblTransient(ctx context.Context, o Options, w io.Writer) error {
 	steps := o.steps(defaultSteps)
-	cons := constraintsFor(2*nodes128Half, defaultCap)
 	names := policy.Compared()
 	variants := []bool{false, true}
 
-	specFor := func(noTransient bool) workload.Spec {
-		spec := spec128(defaultDim, 1, steps, workload.Tasks("msd"))
-		spec.NoSetupTransient = noTransient
-		return spec
-	}
 	e := newEnum("abl-transient")
-	baseG := map[bool]func() units.Seconds{}
-	for _, noTransient := range variants {
-		key := fmt.Sprintf("transient%v/static", !noTransient)
-		baseG[noTransient] = ablTimeCell(e, key, specFor(noTransient), mkStatic,
-			cons, machine.DefaultNoise(), o.BaseSeed+241)
-	}
-	polG := map[string]map[bool]func() units.Seconds{}
+	getters := map[string]map[bool]func() (float64, float64){}
 	for _, name := range names {
-		name := name
-		polG[name] = map[bool]func() units.Seconds{}
+		getters[name] = map[bool]func() (float64, float64){}
 		for _, noTransient := range variants {
+			spec := spec128(defaultDim, 1, steps, workload.Tasks("msd"))
+			spec.NoSetupTransient = noTransient
 			key := fmt.Sprintf("transient%v/%s", !noTransient, name)
-			polG[name][noTransient] = ablTimeCell(e, key, specFor(noTransient), func() core.Policy {
-				pol, err := policy.New(name, cons, 1)
-				if err != nil {
-					panic(err) // names are the fixed set above
-				}
-				return pol
-			}, cons, machine.DefaultNoise(), o.BaseSeed+241)
+			getters[name][noTransient] = e.paired(key, cell{spec: spec, policy: name, telemetry: o.Telemetry},
+				1, o.BaseSeed+241)
 		}
 	}
 	if err := e.run(ctx, o); err != nil {
@@ -331,8 +197,7 @@ func runAblTransient(ctx context.Context, o Options, w io.Writer) error {
 	for _, name := range names {
 		row := []any{name}
 		for _, noTransient := range variants {
-			base := baseG[noTransient]()
-			row = append(row, fmt.Sprintf("%+.2f%%", improvementPct(base, polG[name][noTransient]())))
+			row = append(row, impPct(getters[name][noTransient]))
 		}
 		tbl.AddRow(row...)
 	}
@@ -357,34 +222,24 @@ func runAblOracle(ctx context.Context, o Options, w io.Writer) error {
 
 	type row struct {
 		oracle   func() *cosim.OracleResult
-		base     func() units.Seconds
-		policies []func() units.Seconds
+		policies []func() (float64, float64)
 	}
 	e := newEnum("abl-oracle")
 	var rows []row
 	for _, cs := range cases {
-		cs := cs
 		spec := spec128(cs.dim, 1, steps, cs.analyses)
-		noise := machine.DefaultNoise()
 		rw := row{
 			oracle: addCell(e, cs.label+"/oracle", o.BaseSeed+251,
 				func(ctx context.Context) (*cosim.OracleResult, error) {
 					return cosim.FindBestStaticSplit(ctx, cosim.Config{
 						Spec: spec, Constraints: cons, CapMode: cosim.CapLong,
-						Seed: o.BaseSeed + 251, RunSeed: o.BaseSeed + 252, Noise: noise,
+						Seed: o.BaseSeed + 251, RunSeed: o.BaseSeed + 252, Noise: machine.DefaultNoise(),
 					}, 2)
 				}),
-			base: ablTimeCell(e, cs.label+"/static", spec, mkStatic, cons, noise, o.BaseSeed+251),
 		}
 		for _, name := range names {
-			name := name
-			rw.policies = append(rw.policies, ablTimeCell(e, cs.label+"/"+name, spec, func() core.Policy {
-				pol, err := policy.New(name, cons, 1)
-				if err != nil {
-					panic(err)
-				}
-				return pol
-			}, cons, noise, o.BaseSeed+251))
+			rw.policies = append(rw.policies, e.paired(cs.label+"/"+name,
+				cell{spec: spec, policy: name, telemetry: o.Telemetry}, 1, o.BaseSeed+251))
 		}
 		rows = append(rows, rw)
 	}
@@ -396,12 +251,11 @@ func runAblOracle(ctx context.Context, o Options, w io.Writer) error {
 		"workload", "oracle split S/A (W)", "oracle gain", "seesaw", "time-aware")
 	for i, cs := range cases {
 		oracle := rows[i].oracle()
-		base := rows[i].base()
 		out := []any{cs.label,
 			fmt.Sprintf("%.0f / %.0f", float64(oracle.BestSimCap), float64(oracle.BestAnaCap)),
 			fmt.Sprintf("%+.2f%%", oracle.Headroom()*100)}
 		for _, g := range rows[i].policies {
-			out = append(out, fmt.Sprintf("%+.2f%%", improvementPct(base, g())))
+			out = append(out, impPct(g))
 		}
 		tbl.AddRow(out...)
 	}
@@ -475,8 +329,6 @@ func runExtSched(ctx context.Context, o Options, w io.Writer) error {
 // then the production runs.
 func runExtPowerShift(ctx context.Context, o Options, w io.Writer) error {
 	steps := o.steps(defaultSteps)
-	cons := constraintsFor(2*nodes128Half, defaultCap)
-	noise := machine.DefaultNoise()
 	profCaps := []units.Watts{98, 104, 110, 116, 122}
 
 	// Offline profiling pass: partition interval times at each cap,
@@ -485,48 +337,39 @@ func runExtPowerShift(ctx context.Context, o Options, w io.Writer) error {
 		sim, ana core.Profile
 	}
 	profileFor := func(ctx context.Context, tasks []workload.AnalysisTask, dim int) (profiles, error) {
-		var simErr error
-		sim := core.ProfilePartition(profCaps, func(cap units.Watts) units.Seconds {
-			spec := spec128(dim, 1, steps/4, tasks)
-			res, err := cosim.Run(ctx, cosim.Config{
-				Spec: spec, Constraints: cons, CapMode: cosim.CapLong,
-				InitialSimCap: cap, InitialAnaCap: units.ClampWatts(220-cap, minCap, maxCap),
-				Seed: o.BaseSeed + 271, RunSeed: o.BaseSeed + 272, Noise: noise,
-				Telemetry: o.Telemetry,
-			})
-			if err != nil {
-				simErr = err
-				return 1
+		var err error
+		// measure returns one partition's mean interval time with that
+		// partition at cap and the other at the budget's remainder.
+		measure := func(role core.Role) func(units.Watts) units.Seconds {
+			return func(cap units.Watts) units.Seconds {
+				rest := units.ClampWatts(220-cap, minCap, maxCap)
+				c := cell{spec: spec128(dim, 1, steps/4, tasks), policy: "static",
+					simStart: cap, anaStart: rest,
+					jobSeed: o.BaseSeed + 271, runSeed: o.BaseSeed + 272, telemetry: o.Telemetry}
+				if role == core.RoleAnalysis {
+					c.simStart, c.anaStart = rest, cap
+				}
+				res, rerr := runCell(ctx, c)
+				if rerr != nil {
+					if err == nil {
+						err = rerr
+					}
+					return 1
+				}
+				var t float64
+				for _, r := range res.SyncLog.Records {
+					if role == core.RoleSimulation {
+						t += float64(r.SimTime)
+					} else {
+						t += float64(r.AnaTime)
+					}
+				}
+				return units.Seconds(t / float64(len(res.SyncLog.Records)))
 			}
-			var t float64
-			for _, r := range res.SyncLog.Records {
-				t += float64(r.SimTime)
-			}
-			return units.Seconds(t / float64(len(res.SyncLog.Records)))
-		})
-		var anaErr error
-		ana := core.ProfilePartition(profCaps, func(cap units.Watts) units.Seconds {
-			spec := spec128(dim, 1, steps/4, tasks)
-			res, err := cosim.Run(ctx, cosim.Config{
-				Spec: spec, Constraints: cons, CapMode: cosim.CapLong,
-				InitialSimCap: units.ClampWatts(220-cap, minCap, maxCap), InitialAnaCap: cap,
-				Seed: o.BaseSeed + 271, RunSeed: o.BaseSeed + 272, Noise: noise,
-				Telemetry: o.Telemetry,
-			})
-			if err != nil {
-				anaErr = err
-				return 1
-			}
-			var t float64
-			for _, r := range res.SyncLog.Records {
-				t += float64(r.AnaTime)
-			}
-			return units.Seconds(t / float64(len(res.SyncLog.Records)))
-		})
-		if simErr != nil {
-			return profiles{}, simErr
 		}
-		return profiles{sim: sim, ana: ana}, anaErr
+		sim := core.ProfilePartition(profCaps, measure(core.RoleSimulation))
+		ana := core.ProfilePartition(profCaps, measure(core.RoleAnalysis))
+		return profiles{sim: sim, ana: ana}, err
 	}
 
 	target := workload.Tasks("msd") // the production workload
@@ -541,33 +384,39 @@ func runExtPowerShift(ctx context.Context, o Options, w io.Writer) error {
 	if err := prof.run(ctx, o); err != nil {
 		return err
 	}
-	matched, stale := getMatched(), getStale()
 
-	// Production campaign: the policies consume the captured profiles.
+	// Production campaign: the PowerShift policies consume the captured
+	// profiles.
+	powerShift := func(p profiles) policy.Factory {
+		return func(cons core.Constraints, _ int) (core.Policy, error) {
+			return core.NewPowerShift(core.PowerShiftConfig{
+				Constraints: cons, SimProfile: p.sim, AnaProfile: p.ana, GridStep: 1})
+		}
+	}
 	spec := spec128(defaultDim, 1, steps, target)
+	rows := []struct {
+		key, label string
+		c          cell
+	}{
+		{"powershift-matched", "powershift (matching profiles)", cell{factory: powerShift(getMatched())}},
+		{"powershift-stale", "powershift (profiles from a different workload)", cell{factory: powerShift(getStale())}},
+		{"seesaw", "seesaw (no profiles)", cell{policy: "seesaw"}},
+	}
 	e := newEnum("ext-powershift")
-	getBase := ablTimeCell(e, "static", spec, mkStatic, cons, noise, o.BaseSeed+273)
-	getPSMatched := ablTimeCell(e, "powershift-matched", spec, func() core.Policy {
-		return core.MustNewPowerShift(core.PowerShiftConfig{
-			Constraints: cons, SimProfile: matched.sim, AnaProfile: matched.ana, GridStep: 1})
-	}, cons, noise, o.BaseSeed+273)
-	getPSStale := ablTimeCell(e, "powershift-stale", spec, func() core.Policy {
-		return core.MustNewPowerShift(core.PowerShiftConfig{
-			Constraints: cons, SimProfile: stale.sim, AnaProfile: stale.ana, GridStep: 1})
-	}, cons, noise, o.BaseSeed+273)
-	getSeeSAw := ablTimeCell(e, "seesaw", spec, func() core.Policy {
-		return core.MustNewSeeSAw(core.SeeSAwConfig{Constraints: cons, Window: 1})
-	}, cons, noise, o.BaseSeed+273)
+	getters := make([]func() (float64, float64), len(rows))
+	for i, r := range rows {
+		r.c.spec, r.c.telemetry = spec, o.Telemetry
+		getters[i] = e.paired(r.key, r.c, 1, o.BaseSeed+273)
+	}
 	if err := e.run(ctx, o); err != nil {
 		return err
 	}
 
-	base := getBase()
 	tbl := trace.NewTable("Offline profiles vs online feedback on LAMMPS+MSD (128 nodes)",
 		"policy", "improvement over static")
-	tbl.AddRow("powershift (matching profiles)", fmt.Sprintf("%+.2f%%", improvementPct(base, getPSMatched())))
-	tbl.AddRow("powershift (profiles from a different workload)", fmt.Sprintf("%+.2f%%", improvementPct(base, getPSStale())))
-	tbl.AddRow("seesaw (no profiles)", fmt.Sprintf("%+.2f%%", improvementPct(base, getSeeSAw())))
+	for i, r := range rows {
+		tbl.AddRow(r.label, impPct(getters[i]))
+	}
 	if err := tbl.Render(w); err != nil {
 		return err
 	}

@@ -20,14 +20,6 @@ import (
 	"seesaw/internal/workload"
 )
 
-func init() {
-	register(Experiment{
-		ID:    "faults",
-		Title: "Faults: policy resilience to a mid-run node kill and a 2x slow-node excursion (8 nodes, LAMMPS+MSD)",
-		Run:   runFaults,
-	})
-}
-
 // faultScenario is one fault plan applied to every policy.
 type faultScenario struct {
 	label string
@@ -76,10 +68,8 @@ func runFaults(ctx context.Context, o Options, w io.Writer) error {
 		var row []func() *cosim.Result
 		for _, p := range policies {
 			key := fmt.Sprintf("s%d/%s", si, p)
-			row = append(row, addCell(e, key, o.BaseSeed+61, func(ctx context.Context) (*cosim.Result, error) {
-				return runCell(ctx, cell{spec: spec, policy: p, window: 1, faults: plan,
-					jobSeed: o.BaseSeed + 61, runSeed: o.BaseSeed + 62, telemetry: o.Telemetry})
-			}))
+			row = append(row, e.result(key, cell{spec: spec, policy: p, faults: plan,
+				jobSeed: o.BaseSeed + 61, runSeed: o.BaseSeed + 62, telemetry: o.Telemetry}))
 		}
 		getters = append(getters, row)
 	}

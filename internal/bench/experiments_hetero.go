@@ -10,12 +10,6 @@
 // the uniform static division cannot. A lose-the-fast-nodes fault
 // scenario then kills GPU nodes mid-run to show the allocators
 // re-weighting the survivors.
-//
-// The file is named hetero.go (not experiments_hetero.go) on purpose:
-// registration order is file init order, which is lexical filename
-// order, and "hetero.go" sorts after every "experiments_*.go" file, so
-// the hetero section lands at the end of the report and the report
-// golden grows as a strict superset of its previous bytes.
 package bench
 
 import (
@@ -30,14 +24,6 @@ import (
 	"seesaw/internal/trace"
 	"seesaw/internal/workload"
 )
-
-func init() {
-	register(Experiment{
-		ID:    "hetero",
-		Title: "Heterogeneity: the four policies on mixed CPU/GPU partitions vs the uniform static division (8 nodes, LAMMPS+MSD)",
-		Run:   runHetero,
-	})
-}
 
 // heteroScenario is one device-class layout (plus an optional fault
 // plan) applied to every policy.
@@ -92,11 +78,9 @@ func runHetero(ctx context.Context, o Options, w io.Writer) error {
 		var row []func() *cosim.Result
 		for _, p := range policies {
 			key := fmt.Sprintf("s%d/%s", si, p)
-			row = append(row, addCell(e, key, o.BaseSeed+71, func(ctx context.Context) (*cosim.Result, error) {
-				return runCell(ctx, cell{spec: spec, policy: p, window: 1, faults: plan,
-					classes: classes, jobSeed: o.BaseSeed + 71, runSeed: o.BaseSeed + 72,
-					telemetry: o.Telemetry})
-			}))
+			row = append(row, e.result(key, cell{spec: spec, policy: p, faults: plan,
+				classes: classes, jobSeed: o.BaseSeed + 71, runSeed: o.BaseSeed + 72,
+				telemetry: o.Telemetry}))
 		}
 		getters = append(getters, row)
 	}

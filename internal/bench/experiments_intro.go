@@ -10,45 +10,22 @@ import (
 
 	"seesaw/internal/core"
 	"seesaw/internal/cosim"
-	"seesaw/internal/machine"
 	"seesaw/internal/stats"
 	"seesaw/internal/trace"
 	"seesaw/internal/units"
 	"seesaw/internal/workload"
 )
 
-func init() {
-	register(Experiment{
-		ID:    "fig1",
-		Title: "Fig 1: power trace of simulation and analysis nodes exposing periodic synchronization (200 ms sampling)",
-		Run:   runFig1,
-	})
-	register(Experiment{
-		ID:    "fig2",
-		Title: "Fig 2: shifting power between two tasks so both finish at an earlier, equal time",
-		Run:   runFig2,
-	})
-	register(Experiment{
-		ID:    "table1",
-		Title: "Table I: run-to-run and job-to-job variability across 7 runs for different power-cap types (128 nodes)",
-		Run:   runTable1,
-	})
-}
-
 // runFig1 reproduces the Figure 1 trace: an uncapped LAMMPS+RDF job where
 // the analysis idles at ~105 W waiting to synchronize with the
 // simulation each step.
 func runFig1(ctx context.Context, o Options, w io.Writer) error {
 	e := newEnum("fig1")
-	getRes := addCell(e, "trace", o.BaseSeed+1, func(ctx context.Context) (*cosim.Result, error) {
-		return cosim.Run(ctx, cosim.Config{
-			Spec:          spec128(defaultDim, 1, o.steps(40), workload.Tasks("rdf")),
-			CapMode:       cosim.CapNone,
-			Seed:          o.BaseSeed + 1,
-			Noise:         machine.DefaultNoise(),
-			TraceSegments: true,
-			Telemetry:     o.Telemetry,
-		})
+	getRes := e.result("trace", cell{
+		spec:     spec128(defaultDim, 1, o.steps(40), workload.Tasks("rdf")),
+		policy:   "static",
+		uncapped: true, traceSegments: true,
+		jobSeed: o.BaseSeed + 1, telemetry: o.Telemetry,
 	})
 	if err := e.run(ctx, o); err != nil {
 		return err
@@ -149,51 +126,41 @@ func runTable1(ctx context.Context, o Options, w io.Writer) error {
 	}
 	dims := []int{defaultMidDim, defaultBigDim}
 
-	timeCell := func(e *enum, key string, spec workload.Spec, mode cosim.CapMode, seed, runSeed uint64) func() float64 {
-		return addCell(e, key, seed, func(ctx context.Context) (float64, error) {
-			res, err := cosim.Run(ctx, cosim.Config{
-				Spec: spec, CapMode: mode,
-				Constraints: constraintsFor(2*nodes128Half, defaultCap),
-				Seed:        seed,
-				RunSeed:     runSeed,
-				Noise:       machine.DefaultNoise(),
-				Telemetry:   o.Telemetry,
-			})
-			if err != nil {
-				return 0, err
-			}
-			return float64(res.TotalTime), nil
-		})
-	}
-
 	// Enumerate the full matrix, keeping getters grouped per table row.
 	type rowSpec struct {
 		label   string
 		dim     int
 		kind    string
-		getters []func() float64
+		getters []func() units.Seconds
 	}
 	e := newEnum("table1")
 	var rows []rowSpec
 	for _, ct := range capTypes {
 		for _, dim := range dims {
-			spec := spec128(dim, 1, steps, workload.AllAnalysesForDim(dim))
+			// Each row's jobs run static: the table measures the cap
+			// type's variability, not a policy.
+			c := cell{
+				spec:    spec128(dim, 1, steps, workload.AllAnalysesForDim(dim)),
+				capMode: ct.mode, uncapped: ct.mode == cosim.CapNone,
+				jobSeed: o.BaseSeed + 11, telemetry: o.Telemetry,
+			}
 
 			// Run-to-run: same job (same node skews), varying jitter.
 			rr := rowSpec{label: ct.label, dim: dim, kind: "run-to-run"}
 			for r := 0; r < runs; r++ {
+				c.runSeed = o.BaseSeed + 100 + uint64(r)*defaultSeedGap
 				key := fmt.Sprintf("%s/dim%d/run-to-run/r%d", ct.label, dim, r)
-				rr.getters = append(rr.getters, timeCell(e, key, spec, ct.mode,
-					o.BaseSeed+11, o.BaseSeed+100+uint64(r)*defaultSeedGap))
+				rr.getters = append(rr.getters, e.baseline(key, c))
 			}
 			rows = append(rows, rr)
 
 			// Job-to-job: fresh node allocation per job.
 			jj := rowSpec{label: ct.label, dim: dim, kind: "job-to-job"}
 			for r := 0; r < runs; r++ {
-				seed := o.BaseSeed + 500 + uint64(r)*defaultSeedGap
+				c.jobSeed = o.BaseSeed + 500 + uint64(r)*defaultSeedGap
+				c.runSeed = c.jobSeed + 1
 				key := fmt.Sprintf("%s/dim%d/job-to-job/r%d", ct.label, dim, r)
-				jj.getters = append(jj.getters, timeCell(e, key, spec, ct.mode, seed, seed+1))
+				jj.getters = append(jj.getters, e.baseline(key, c))
 			}
 			rows = append(rows, jj)
 		}
@@ -207,7 +174,7 @@ func runTable1(ctx context.Context, o Options, w io.Writer) error {
 	for _, row := range rows {
 		times := make([]float64, len(row.getters))
 		for i, g := range row.getters {
-			times[i] = g()
+			times[i] = float64(g())
 		}
 		tbl.AddRow(row.label, row.dim, row.kind, stats.VariabilityPct(times))
 	}

@@ -13,29 +13,6 @@ import (
 	"seesaw/internal/workload"
 )
 
-func init() {
-	register(Experiment{
-		ID:    "fig3a",
-		Title: "Fig 3a: policy performance vs the static baseline for different analyses (128 nodes, w=1, j=1, median of 3)",
-		Run:   runFig3a,
-	})
-	register(Experiment{
-		ID:    "fig3b",
-		Title: "Fig 3b: policy performance at scale (256-1024 nodes, median of 3)",
-		Run:   runFig3b,
-	})
-	register(Experiment{
-		ID:    "fig4",
-		Title: "Fig 4: per-synchronization power allocation and normalized slack, LAMMPS+MSD on 128 nodes (dim=16, j=1)",
-		Run:   runFig4,
-	})
-	register(Experiment{
-		ID:    "fig5",
-		Title: "Fig 5: allocated vs measured power at 1024 nodes (all analyses), SeeSAw vs time-aware",
-		Run:   runFig5,
-	})
-}
-
 // fig3aCases are the analysis configurations of Figure 3a. Full MSD is
 // limited to dim=16 by its memory needs; its subcomponents use dim=16
 // for comparability (Section VII-B); the light analyses use dim=36.
@@ -81,8 +58,7 @@ func runFig3a(ctx context.Context, o Options, w io.Writer) error {
 	for i, cs := range fig3aCases() {
 		row := []any{fmt.Sprintf("%s (dim=%d)", cs.label, cs.dim)}
 		for _, g := range getters[i] {
-			imp, _ := g()
-			row = append(row, fmt.Sprintf("%+.2f%%", imp))
+			row = append(row, impPct(g))
 		}
 		tbl.AddRow(row...)
 	}
@@ -125,8 +101,7 @@ func runFig3b(ctx context.Context, o Options, w io.Writer) error {
 		for _, n := range scales {
 			row := []any{fmt.Sprintf("%s (dim=%d)", cs.label, cs.dim), n}
 			for _, g := range getters[i] {
-				imp, _ := g()
-				row = append(row, fmt.Sprintf("%+.2f%%", imp))
+				row = append(row, impPct(g))
 			}
 			tbl.AddRow(row...)
 			i++
@@ -145,10 +120,8 @@ func runFig4(ctx context.Context, o Options, w io.Writer) error {
 	policies := policy.Compared()
 	e := newEnum("fig4")
 	resCell := func(p string) func() *cosim.Result {
-		return addCell(e, p, o.BaseSeed+41, func(ctx context.Context) (*cosim.Result, error) {
-			return runCell(ctx, cell{spec: spec, policy: p, window: 1,
-				jobSeed: o.BaseSeed + 41, runSeed: o.BaseSeed + 42, telemetry: o.Telemetry})
-		})
+		return e.result(p, cell{spec: spec, policy: p,
+			jobSeed: o.BaseSeed + 41, runSeed: o.BaseSeed + 42, telemetry: o.Telemetry})
 	}
 	var getters []func() *cosim.Result
 	for _, p := range policies {
@@ -203,11 +176,8 @@ func runFig5(ctx context.Context, o Options, w io.Writer) error {
 	e := newEnum("fig5")
 	var getters []func() *cosim.Result
 	for _, p := range policies {
-		p := p
-		getters = append(getters, addCell(e, p, o.BaseSeed+51, func(ctx context.Context) (*cosim.Result, error) {
-			return runCell(ctx, cell{spec: spec, policy: p, window: 1,
-				jobSeed: o.BaseSeed + 51, runSeed: o.BaseSeed + 52, telemetry: o.Telemetry})
-		}))
+		getters = append(getters, e.result(p, cell{spec: spec, policy: p,
+			jobSeed: o.BaseSeed + 51, runSeed: o.BaseSeed + 52, telemetry: o.Telemetry}))
 	}
 	if err := e.run(ctx, o); err != nil {
 		return err

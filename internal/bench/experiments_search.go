@@ -13,6 +13,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"strings"
 
 	"seesaw/internal/fault"
 	"seesaw/internal/machine"
@@ -21,14 +22,6 @@ import (
 	"seesaw/internal/trace"
 	"seesaw/internal/workload"
 )
-
-func init() {
-	register(Experiment{
-		ID:    "search",
-		Title: "Search: batched rollouts rank fixed policies against a per-window bandit across fault and topology scenarios (8 nodes, LAMMPS+MSD)",
-		Run:   runSearchExperiment,
-	})
-}
 
 // searchScenario is one environment configuration every policy rolls
 // out in.
@@ -129,22 +122,10 @@ func runSearchExperiment(ctx context.Context, o Options, w io.Writer) error {
 
 	if banditWins > 0 {
 		_, err = fmt.Fprintf(w, "The bandit beats every fixed policy on %d of %d scenarios (%s): per-window arm selection adapts where any single hand-written policy is mis-matched to part of the run.\n\n",
-			banditWins, len(scenarios), join(winLabels))
+			banditWins, len(scenarios), strings.Join(winLabels, "; "))
 	} else {
 		_, err = fmt.Fprintf(w, "The bandit beats every fixed policy on 0 of %d scenarios at this run length; longer episodes give its audition phase room to amortize.\n\n",
 			len(scenarios))
 	}
 	return err
-}
-
-// join renders the winning-scenario labels as a compact list.
-func join(labels []string) string {
-	s := ""
-	for i, l := range labels {
-		if i > 0 {
-			s += "; "
-		}
-		s += l
-	}
-	return s
 }

@@ -15,39 +15,6 @@ import (
 	"seesaw/internal/workload"
 )
 
-func init() {
-	register(Experiment{
-		ID:    "fig6",
-		Title: "Fig 6: SeeSAw window w and LAMMPS synchronization rate j (1024 nodes, dim=48, all analyses)",
-		Run:   runFig6,
-	})
-	register(Experiment{
-		ID:    "table2",
-		Title: "Table II: SeeSAw improvement with mixed analysis intervals (128 nodes, dim=16, w=1, median of 3)",
-		Run:   runTable2,
-	})
-	register(Experiment{
-		ID:    "fig7",
-		Title: "Fig 7: unbalanced initial power distributions (128 nodes, dim=36, all analyses, w=2, j=1)",
-		Run:   runFig7,
-	})
-	register(Experiment{
-		ID:    "fig8",
-		Title: "Fig 8: SeeSAw improvement over static for varying power caps (diminishing returns past ~140 W)",
-		Run:   runFig8,
-	})
-	register(Experiment{
-		ID:    "fig9a",
-		Title: "Fig 9a: SeeSAw overhead as a percentage of each synchronization interval (128 and 1024 nodes)",
-		Run:   runFig9a,
-	})
-	register(Experiment{
-		ID:    "fig9b",
-		Title: "Fig 9b: standalone SeeSAw allocation duration across power caps (loop of 10 iterations)",
-		Run:   runFig9b,
-	})
-}
-
 // runFig6 sweeps the power-reallocation window w and the synchronization
 // rate j at 1024 nodes.
 func runFig6(ctx context.Context, o Options, w io.Writer) error {
@@ -84,8 +51,7 @@ func runFig6(ctx context.Context, o Options, w io.Writer) error {
 	for i, win := range windows {
 		row := []any{fmt.Sprintf("w=%d", win)}
 		for _, g := range getters[i] {
-			imp, _ := g()
-			row = append(row, fmt.Sprintf("%+.2f%%", imp))
+			row = append(row, impPct(g))
 		}
 		tbl.AddRow(row...)
 	}
@@ -131,8 +97,7 @@ func runTable2(ctx context.Context, o Options, w io.Writer) error {
 	for i, varied := range varieds {
 		row := []any{varied}
 		for _, g := range getters[i] {
-			imp, _ := g()
-			row = append(row, fmt.Sprintf("%+.2f%%", imp))
+			row = append(row, impPct(g))
 		}
 		tbl.AddRow(row...)
 	}
@@ -176,8 +141,7 @@ func runFig7(ctx context.Context, o Options, w io.Writer) error {
 		"initial distribution", "improvement", "paper")
 	paperVals := []string{"28.26%", "19.21%", "8.94%"}
 	for i, st := range starts {
-		imp, _ := getters[i]()
-		tbl.AddRow(st.label, fmt.Sprintf("%+.2f%%", imp), paperVals[i])
+		tbl.AddRow(st.label, impPct(getters[i]), paperVals[i])
 	}
 	return tbl.Render(w)
 }
@@ -209,8 +173,7 @@ func runFig8(ctx context.Context, o Options, w io.Writer) error {
 	tbl := trace.NewTable("Fig 8: SeeSAw % improvement over static across per-node power caps",
 		"cap per node (W)", "improvement")
 	for i, c := range caps {
-		imp, _ := getters[i]()
-		tbl.AddRow(c, fmt.Sprintf("%+.2f%%", imp))
+		tbl.AddRow(c, impPct(getters[i]))
 	}
 	return tbl.Render(w)
 }
@@ -224,16 +187,11 @@ func runFig9a(ctx context.Context, o Options, w io.Writer) error {
 	e := newEnum("fig9a")
 	var getters []func() *cosim.Result
 	for _, n := range scales {
-		n := n
-		getters = append(getters, addCell(e, fmt.Sprintf("n%d", n), o.BaseSeed+95,
-			func(ctx context.Context) (*cosim.Result, error) {
-				return runCell(ctx, cell{
-					spec:   specAt(n, defaultBigDim, 1, steps, workload.AllAnalysesForDim(defaultBigDim)),
-					policy: "seesaw", window: 1,
-					jobSeed: o.BaseSeed + 95, runSeed: o.BaseSeed + 96,
-					telemetry: o.Telemetry,
-				})
-			}))
+		getters = append(getters, e.result(fmt.Sprintf("n%d", n), cell{
+			spec:   specAt(n, defaultBigDim, 1, steps, workload.AllAnalysesForDim(defaultBigDim)),
+			policy: "seesaw", jobSeed: o.BaseSeed + 95, runSeed: o.BaseSeed + 96,
+			telemetry: o.Telemetry,
+		}))
 	}
 	if err := e.run(ctx, o); err != nil {
 		return err

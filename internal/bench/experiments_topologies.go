@@ -21,14 +21,6 @@ import (
 	"seesaw/internal/workload"
 )
 
-func init() {
-	register(Experiment{
-		ID:    "topologies",
-		Title: "Topologies: the four policies across space-shared, time-shared, in-transit and DAG placements (16 nodes, workflow engine)",
-		Run:   runTopologies,
-	})
-}
-
 const topologyNodes = 16
 
 func runTopologies(ctx context.Context, o Options, w io.Writer) error {

@@ -274,7 +274,7 @@ func TestUnknownExperimentErrorListsIDs(t *testing.T) {
 		t.Errorf("error does not name the bad id: %s", msg)
 	}
 	// Every real id must be offered as a suggestion.
-	for _, id := range IDs() {
+	for _, id := range ids() {
 		if !strings.Contains(msg, id) {
 			t.Errorf("error does not list %s: %s", id, msg)
 		}

@@ -6,7 +6,7 @@ import (
 	"io"
 )
 
-// WriteReport runs every experiment in paper order and writes a Markdown
+// WriteReport runs every experiment in report order and writes a Markdown
 // document with one fenced section per artifact to w. progress, when
 // non-nil, is called with each experiment id as its section completes.
 //

@@ -221,22 +221,3 @@ func runCell(ctx context.Context, o Options, c Cell) (res Result) {
 	res.Value, res.Err = c.Run(ctx)
 	return res
 }
-
-// Collect is a typed convenience over Run: it unwraps every cell value
-// to T and fails on the first cell error (including cancellation), for
-// campaigns whose callers need all results or none.
-func Collect[T any](ctx context.Context, cells []Cell, o Options) ([]T, error) {
-	rs, err := Run(ctx, cells, o)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]T, len(rs))
-	for i, r := range rs {
-		v, ok := r.Value.(T)
-		if !ok {
-			return nil, fmt.Errorf("campaign %s: cell %s returned %T, want %T", o.Name, r.Key, r.Value, out[i])
-		}
-		out[i] = v
-	}
-	return out, nil
-}

@@ -240,20 +240,6 @@ func TestEmptyCells(t *testing.T) {
 	}
 }
 
-func TestCollect(t *testing.T) {
-	vals, err := Collect[int](context.Background(), squareCells(5), Options{Name: "col"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(vals, []int{0, 1, 4, 9, 16}) {
-		t.Errorf("vals = %v", vals)
-	}
-	if _, err := Collect[string](context.Background(), squareCells(2), Options{Name: "col"}); err == nil ||
-		!strings.Contains(err.Error(), "want string") {
-		t.Errorf("type mismatch err = %v", err)
-	}
-}
-
 // TestWorkerState: each worker builds its state exactly once, cells see
 // their worker's value through WorkerValue, and Close runs at worker
 // exit.

@@ -38,8 +38,6 @@ type Options struct {
 	// Policy is the allocation policy; only the policy root's instance
 	// (world rank 0) is consulted. Must be non-nil on the root.
 	Policy core.Policy
-	// Constraints carry the global budget and per-node cap range.
-	Constraints core.Constraints
 	// InitialCap is the per-node cap installed at Init ("power_cap" of
 	// poli_init_power_manager). Zero leaves the node uncapped.
 	InitialCap units.Watts
@@ -138,9 +136,6 @@ func Init(rank *mpi.Rank, role core.Role, node *machine.Node, opts Options) (*Ma
 	m.lastEnergy = node.RAPL().Energy()
 	return m, nil
 }
-
-// Role returns the rank's partition role.
-func (m *Manager) Role() core.Role { return m.role }
 
 // SyncLog returns the per-synchronization record log (nil on non-root
 // ranks).

@@ -27,9 +27,8 @@ func runJob(t *testing.T, nRanks, syncs int, policy core.Policy, work func(rank 
 		}
 		node := machine.DefaultNode(r.WorldRank(), machine.NoiseModel{}, 1)
 		mgr, err := Init(r, role, node, Options{
-			Policy:      policy,
-			Constraints: cons(),
-			InitialCap:  110,
+			Policy:     policy,
+			InitialCap: 110,
 		})
 		if err != nil {
 			panic(err)
@@ -57,7 +56,7 @@ func TestInitValidation(t *testing.T) {
 		node := machine.DefaultNode(r.WorldRank(), machine.NoiseModel{}, 1)
 		if r.WorldRank() == 0 {
 			// Root without a policy must fail.
-			if _, err := Init(r, core.RoleSimulation, node, Options{Constraints: cons()}); err == nil {
+			if _, err := Init(r, core.RoleSimulation, node, Options{}); err == nil {
 				panic("root without policy accepted")
 			}
 			// Nil node must fail.
@@ -148,7 +147,7 @@ func TestShortTermCapMode(t *testing.T) {
 	err := mpi.Run(2, mpi.DefaultCost(), func(r *mpi.Rank) {
 		node := machine.DefaultNode(r.WorldRank(), machine.NoiseModel{}, 1)
 		_, err := Init(r, core.RoleSimulation, node, Options{
-			Policy: core.NewStatic(), Constraints: cons(), InitialCap: 110, ShortTermCap: true,
+			Policy: core.NewStatic(), InitialCap: 110, ShortTermCap: true,
 		})
 		if err != nil {
 			panic(err)
@@ -164,12 +163,5 @@ func TestShortTermCapMode(t *testing.T) {
 	}
 	if allowed != 107.8 || !dual {
 		t.Errorf("Grant(215) = (%v, %v), want (107.8, true)", allowed, dual)
-	}
-}
-
-func TestRoleAccessor(t *testing.T) {
-	mgrs := runJob(t, 2, 1, core.NewStatic(), func(int) units.Seconds { return 0.1 })
-	if mgrs[0].Role() != core.RoleSimulation || mgrs[1].Role() != core.RoleAnalysis {
-		t.Error("roles wrong")
 	}
 }

@@ -66,14 +66,6 @@ func (s *Stream) Float64() float64 {
 	return float64(s.Uint64()>>11) / float64(1<<53)
 }
 
-// Intn returns a uniform int in [0, n). It panics if n <= 0.
-func (s *Stream) Intn(n int) int {
-	if n <= 0 {
-		panic("rng: Intn with non-positive n")
-	}
-	return int(s.Uint64() % uint64(n))
-}
-
 // Norm returns a standard normal variate (mean 0, stddev 1) using
 // Box-Muller: one pair of uniforms makes two normals, the first
 // returned now and the second kept as a spare for the next call. The

@@ -77,30 +77,6 @@ func TestFloat64Mean(t *testing.T) {
 	}
 }
 
-func TestIntn(t *testing.T) {
-	s := New(5)
-	seen := make(map[int]bool)
-	for i := 0; i < 1000; i++ {
-		v := s.Intn(10)
-		if v < 0 || v >= 10 {
-			t.Fatalf("Intn(10) = %d out of range", v)
-		}
-		seen[v] = true
-	}
-	if len(seen) != 10 {
-		t.Errorf("Intn(10) over 1000 draws covered %d values, want 10", len(seen))
-	}
-}
-
-func TestIntnPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("Intn(0) should panic")
-		}
-	}()
-	New(1).Intn(0)
-}
-
 func TestNormMoments(t *testing.T) {
 	s := New(6)
 	const n = 200000

@@ -1,16 +1,18 @@
-// Batched rollouts: fan a grid of (budget, w, dims, faults, topology,
-// policy) points across the campaign engine's worker pool. Each point is
-// one campaign cell: a full episode driven through Env.Rollout with a
-// registry-constructed policy, so batch throughput measures the whole
-// policy-search loop, not a shortcut around it.
+// Batched rollouts: fan a grid of (nodes, dims, faults, classes,
+// topology, budget, w, policy) points across the campaign engine's
+// worker pool. Each point is one campaign cell: a full episode driven
+// through Env.Rollout with a registry-constructed policy, so batch
+// throughput measures the whole policy-search loop, not a shortcut
+// around it.
 //
 // Each worker owns one Env (via the campaign worker-state hook), and
 // every Env shares one bounded StateCache, so a sweep pays each
 // distinct job's precompute — including its memoized noise traces —
 // once and each worker's node population is rebuilt only when its cell
-// stream crosses to a different job. Grid enumeration orders points so
-// cells of one job are consecutive, which is what keeps the per-worker
-// single-entry episode pool warm.
+// stream crosses to a different job. Grid enumeration nests the job
+// axes (nodes, dims, faults, classes, topology) outside the episode
+// axes (budget, w, policy), so cells of one job are consecutive, which
+// is what keeps the per-worker single-entry episode pool warm.
 package rollout
 
 import (
@@ -170,10 +172,12 @@ func axis[T any](vals []T, fallback T) []T {
 	return vals
 }
 
-// Expand enumerates the grid's points in deterministic axis order.
-// Invalid axis values (a node count below 2, a non-positive budget or
-// dim, a window below 1, a bad fault plan, an unknown topology or
-// policy) surface as errors here, before any rollout runs.
+// Expand enumerates the grid's points in deterministic axis order:
+// nodes, dims, faults, classes and topologies (the job) outermost, then
+// budgets, windows and policies. Invalid axis values (a node count
+// below 2, a non-positive budget or dim, a window below 1, a bad fault
+// plan, an unknown topology or policy) surface as errors here, before
+// any rollout runs.
 func (g Grid) Expand() ([]Point, error) {
 	steps := g.Steps
 	if steps == 0 {
@@ -266,32 +270,36 @@ func (g Grid) Expand() ([]Point, error) {
 	classesAx := axis(g.Classes, "")
 	toposAx := axis(g.Topologies, "")
 
+	// The job axes (nodes, dims, faults, classes, topologies) nest
+	// outside the episode axes (budgets, windows, policies), so each
+	// job's points are consecutive and a worker rebuilds its pooled
+	// episode only when the job changes.
 	points := make([]Point, 0, len(nodesAx)*len(budgetsAx)*len(windowsAx)*
 		len(dimsAx)*len(faultsAx)*len(classesAx)*len(toposAx)*len(policies))
 	for _, nodes := range nodesAx {
-		for _, budget := range budgetsAx {
-			for _, w := range windowsAx {
-				for _, dim := range dimsAx {
-					for _, fp := range faultsAx {
-						plan, err := fault.Parse(fp)
-						if err != nil {
-							return nil, fmt.Errorf("rollout: %w", err)
-						}
-						for _, cs := range classesAx {
-							classes, err := machine.ParseClassMap(cs)
-							if err != nil {
-								return nil, fmt.Errorf("rollout: %w", err)
-							}
-							for _, topo := range toposAx {
+		for _, dim := range dimsAx {
+			for _, fp := range faultsAx {
+				plan, err := fault.Parse(fp)
+				if err != nil {
+					return nil, fmt.Errorf("rollout: %w", err)
+				}
+				for _, cs := range classesAx {
+					classes, err := machine.ParseClassMap(cs)
+					if err != nil {
+						return nil, fmt.Errorf("rollout: %w", err)
+					}
+					// The classes segment is inserted before the policy
+					// only when heterogeneous, so class-free grids keep
+					// their keys and the policy stays the trailing
+					// segment (scenario grouping strips it).
+					het := ""
+					if cs != "" {
+						het = "classes=" + cs + "/"
+					}
+					for _, topo := range toposAx {
+						for _, budget := range budgetsAx {
+							for _, w := range windowsAx {
 								for _, pol := range policies {
-									// The classes segment is inserted before the
-									// policy only when heterogeneous, so class-free
-									// grids keep their keys and the policy stays the
-									// trailing segment (scenario grouping strips it).
-									het := ""
-									if cs != "" {
-										het = "classes=" + cs + "/"
-									}
 									key := fmt.Sprintf("n%d/b%g/w%d/dim%d/%sfaults=%s/topo=%s/%s%s",
 										nodes, float64(budget), w, dim, extra, orNone(fp), orName(topo), het, pol)
 									points = append(points, Point{

@@ -45,10 +45,8 @@ type Spec struct {
 	// the equivalent graph.
 	Topology string
 	// CapPerNode is the per-node budget (110 W, the paper's setting,
-	// when zero); Constraints are derived from it unless set explicitly.
+	// when zero) on the paper's 98-215 W cap range.
 	CapPerNode units.Watts
-	// Constraints, when non-zero, override the derived budget/range.
-	Constraints core.Constraints
 	// Seed and RunSeed drive the noise streams (see cosim.Config).
 	Seed, RunSeed uint64
 	// Noise configures node variability; zero disables it.
@@ -72,11 +70,8 @@ const (
 	defaultMaxCap     = units.Watts(215)
 )
 
-// constraints resolves the spec's constraint set.
+// constraints spreads the per-node budget over physicalNodes nodes.
 func (s Spec) constraints(physicalNodes int) core.Constraints {
-	if s.Constraints != (core.Constraints{}) {
-		return s.Constraints
-	}
 	capPer := s.CapPerNode
 	if capPer == 0 {
 		capPer = defaultCapPerNode

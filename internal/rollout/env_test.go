@@ -274,6 +274,44 @@ func TestBatchByteIdenticalAcrossJobs(t *testing.T) {
 	}
 }
 
+// TestGridExpandJobsConsecutive: every job axis nests outside the
+// budgets, windows and policies, so a job's points are consecutive and
+// a worker walking them in order switches job only when the previous
+// job is done.
+func TestGridExpandJobsConsecutive(t *testing.T) {
+	points, err := Grid{
+		Nodes:      []int{8, 16},
+		Budgets:    []units.Watts{105, 110},
+		Windows:    []int{1, 2},
+		Dims:       []int{12, 16},
+		Faults:     []string{"", "slow:0@4x2+4"},
+		Classes:    []string{"", "0-3:gpu"},
+		Topologies: []string{"", "time-shared"},
+		Policies:   []string{"seesaw", "static"},
+		Steps:      12,
+	}.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := map[string]bool{}
+	prev, switches := "", 0
+	for _, p := range points {
+		job := p.Spec.jobKey() + "/topo=" + p.Spec.Topology
+		if job == prev {
+			continue
+		}
+		if done[job] {
+			t.Fatalf("point %s returns to a finished job", p.Key)
+		}
+		done[job] = true
+		prev = job
+		switches++
+	}
+	if want := 2 * 2 * 2 * 2 * 2; switches != want {
+		t.Errorf("%d points switch job %d times, want once per job (%d)", len(points), switches, want)
+	}
+}
+
 // TestGridExpandValidation: bad axis values fail fast, before any
 // rollout runs.
 func TestGridExpandValidation(t *testing.T) {

@@ -11,14 +11,12 @@ import (
 )
 
 // episodeFields are the Spec fields jobKey leaves out on purpose: the
-// episode parameters cosim takes per run (budget, constraints,
-// telemetry hub) and the driver selector (jobKey only keys
-// space-shared jobs).
+// episode parameters cosim takes per run (budget, telemetry hub) and
+// the driver selector (jobKey only keys space-shared jobs).
 var episodeFields = map[string]bool{
-	"CapPerNode":  true,
-	"Constraints": true,
-	"Telemetry":   true,
-	"Topology":    true,
+	"CapPerNode": true,
+	"Telemetry":  true,
+	"Topology":   true,
 }
 
 // specLeaf is one settable value inside a Spec: a path of field

@@ -268,7 +268,6 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 
 		mgr, err := polimer.Init(r, role, node, polimer.Options{
 			Policy:       cfg.Policy,
-			Constraints:  cfg.Constraints,
 			InitialCap:   cfg.initialCap(st.Name, even),
 			ShortTermCap: cfg.ShortTermCap,
 			Telemetry:    cfg.Telemetry,

@@ -247,17 +247,11 @@ func (s Spec) SyncSchedule() []int {
 	return steps
 }
 
-// SimInterval returns the simulation phases making up the interval that
-// ends at syncStep, covering the Verlet steps since prevStep
+// SimIntervalIdx returns the simulation phases making up the interval
+// that ends at syncStep, covering the Verlet steps since prevStep
 // (exclusive). Non-synchronizing steps contribute only their
 // integrate/force/output phases. intervalIdx counts synchronization
 // intervals from 0 and selects the startup transient.
-func (s Spec) SimInterval(prevStep, syncStep int) []machine.Phase {
-	return s.SimIntervalIdx(prevStep, syncStep, prevStep/maxInt(s.j(), 1))
-}
-
-// SimIntervalIdx is SimInterval with an explicit interval index for the
-// setup transient.
 func (s Spec) SimIntervalIdx(prevStep, syncStep, intervalIdx int) []machine.Phase {
 	var phases []machine.Phase
 	nSteps := syncStep - prevStep
@@ -321,13 +315,6 @@ func (s Spec) AnaInterval(syncStep int) []machine.Phase {
 		})
 	}
 	return phases
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // Tasks converts plain analysis names into AnalysisTasks with the

@@ -83,7 +83,7 @@ func TestSyncScheduleUnion(t *testing.T) {
 func TestSimIntervalPhases(t *testing.T) {
 	s := refSpec()
 	s.NoSetupTransient = true
-	phases := s.SimInterval(0, 1)
+	phases := s.SimIntervalIdx(0, 1, 0)
 	if len(phases) != len(simPhaseDefs) {
 		t.Fatalf("got %d phases, want %d", len(phases), len(simPhaseDefs))
 	}
@@ -103,7 +103,7 @@ func TestSimIntervalPhases(t *testing.T) {
 func TestSimIntervalMultiStep(t *testing.T) {
 	s := refSpec()
 	s.NoSetupTransient = true
-	one := intervalTotal(s.SimInterval(0, 1))
+	one := intervalTotal(s.SimIntervalIdx(0, 1, 0))
 	five := intervalTotal(s.SimIntervalIdx(0, 5, 0))
 	// Five steps share a single synchronization's sync-only phases, so
 	// the total is less than 5x one full step but more than 3x (the
@@ -115,7 +115,7 @@ func TestSimIntervalMultiStep(t *testing.T) {
 
 func TestSimIntervalEmpty(t *testing.T) {
 	s := refSpec()
-	if got := s.SimInterval(5, 5); got != nil {
+	if got := s.SimIntervalIdx(5, 5, 5); got != nil {
 		t.Error("empty step range should produce no phases")
 	}
 }
@@ -168,8 +168,8 @@ func TestWorkScalesWithDim(t *testing.T) {
 	small.NoSetupTransient = true
 	big := small
 	big.Dim = 32 // 8x the atoms
-	ts := intervalTotal(small.SimInterval(0, 1))
-	tb := intervalTotal(big.SimInterval(0, 1))
+	ts := intervalTotal(small.SimIntervalIdx(0, 1, 0))
+	tb := intervalTotal(big.SimIntervalIdx(0, 1, 0))
 	if float64(tb) < 4*float64(ts) {
 		t.Errorf("dim 32 interval %v should be much larger than dim 16's %v", tb, ts)
 	}
@@ -180,8 +180,8 @@ func TestWorkShrinksWithNodes(t *testing.T) {
 	small.NoSetupTransient = true
 	big := small
 	big.SimNodes, big.AnaNodes = 512, 512
-	ts := intervalTotal(small.SimInterval(0, 1))
-	tb := intervalTotal(big.SimInterval(0, 1))
+	ts := intervalTotal(small.SimIntervalIdx(0, 1, 0))
+	tb := intervalTotal(big.SimIntervalIdx(0, 1, 0))
 	if tb >= ts {
 		t.Errorf("1024-node interval %v should be smaller than 128-node %v (strong scaling)", tb, ts)
 	}
@@ -206,8 +206,8 @@ func TestDemandScaling(t *testing.T) {
 	ref.NoSetupTransient = true
 	big := ref
 	big.Dim = 48
-	refForce := findPhase(t, ref.SimInterval(0, 1), "force")
-	bigForce := findPhase(t, big.SimInterval(0, 1), "force")
+	refForce := findPhase(t, ref.SimIntervalIdx(0, 1, 0), "force")
+	bigForce := findPhase(t, big.SimIntervalIdx(0, 1, 0), "force")
 	if bigForce.Demand <= refForce.Demand {
 		t.Errorf("force demand should grow with dim: %v -> %v", refForce.Demand, bigForce.Demand)
 	}
