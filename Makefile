@@ -73,7 +73,7 @@ memo-golden-smoke:
 	rm -f "$$tmp/seesaw-memo-on.txt" "$$tmp/seesaw-telemetry.txt" "$$tmp/ev.jsonl"; \
 	echo "memo golden smoke ok: memoized and instrumented reports are byte-identical"
 
-# cli-smoke pins three CLI routing rules and two input checks. `trace`
+# cli-smoke pins three CLI routing rules and the input checks. `trace`
 # runs the job-file path, so `trace -nodes 8 -steps 20` prints the same
 # CSV as `job -csv` on the equivalent job file, under time-shared and
 # space-shared placement alike. `trace -topology space-shared` runs
@@ -83,12 +83,15 @@ memo-golden-smoke:
 # non-zero, because the workflow engine always installs caps. `mdrun
 # -dump FILE -dump-every 0` exits 1 with an error, not a panic, and
 # `mdrun -temp 0` (a cold start, equilibrated at zero temperature)
-# exits 0.
+# exits 0. A job file with a negative window, j or analysis interval,
+# `trace -j` below 1 and `insitu -j` below 1 each exit 1: a job file
+# reads zero as the default, and a negative value must not run as it.
 cli-smoke:
-	@tmp="$${TMPDIR:-/tmp}"; bin="$$tmp/seesawctl-cli-smoke"; mdbin="$$tmp/mdrun-cli-smoke"; \
+	@tmp="$${TMPDIR:-/tmp}"; bin="$$tmp/seesawctl-cli-smoke"; mdbin="$$tmp/mdrun-cli-smoke"; isbin="$$tmp/insitu-cli-smoke"; \
 	job='{"nodes": 8, "dim": 8, "steps": 6, "analyses": [{"name": "msd1d"}], "topology": "in-transit", "cap_mode": '; \
 	$(GO) build -o "$$bin" ./cmd/seesawctl || exit 1; \
 	$(GO) build -o "$$mdbin" ./cmd/mdrun || exit 1; \
+	$(GO) build -o "$$isbin" ./cmd/insitu || exit 1; \
 	"$$mdbin" -equil 0 -steps 2 -dump "$$tmp/mdrun-cli-smoke.xyz" -dump-every 0 > /dev/null 2> "$$tmp/mdrun-cli-smoke.err"; \
 	code=$$?; \
 	if [ "$$code" -ne 1 ] || grep -q panic "$$tmp/mdrun-cli-smoke.err"; then \
@@ -116,13 +119,25 @@ cli-smoke:
 	if "$$bin" job "$$tmp/seesaw-job-none.json" > /dev/null 2>&1; then \
 		echo 'in-transit job with cap_mode "none" was accepted'; exit 1; \
 	fi; \
-	rm -f "$$bin" "$$mdbin" "$$tmp/seesaw-trace-default.csv" \
+	for bad in '"window": -3, "analyses": [{"name": "msd"}]' '"j": -1, "analyses": [{"name": "msd"}]' \
+		'"analyses": [{"name": "msd", "interval": -2}]'; do \
+		printf '{"nodes": 8, "dim": 8, "steps": 5, %s}\n' "$$bad" > "$$tmp/seesaw-job-negative.json"; \
+		"$$bin" job "$$tmp/seesaw-job-negative.json" > /dev/null 2>&1; code=$$?; \
+		if [ "$$code" -ne 1 ]; then echo "job file with $$bad exited $$code, want 1"; exit 1; fi; \
+	done; \
+	for j in 0 -1; do \
+		"$$bin" trace -nodes 8 -steps 5 -j $$j > /dev/null 2>&1; code=$$?; \
+		if [ "$$code" -ne 1 ]; then echo "trace -j $$j exited $$code, want 1"; exit 1; fi; \
+		"$$isbin" -steps 2 -j $$j > /dev/null 2>&1; code=$$?; \
+		if [ "$$code" -ne 1 ]; then echo "insitu -j $$j exited $$code, want 1"; exit 1; fi; \
+	done; \
+	rm -f "$$bin" "$$mdbin" "$$isbin" "$$tmp/seesaw-job-negative.json" "$$tmp/seesaw-trace-default.csv" \
 		"$$tmp/seesaw-trace-time-shared.csv" "$$tmp/seesaw-trace-space-shared.csv" \
 		"$$tmp/seesaw-job-time-shared.json" "$$tmp/seesaw-job-space-shared.json" \
 		"$$tmp/seesaw-job-time-shared.csv" "$$tmp/seesaw-job-space-shared.csv" \
 		"$$tmp/seesaw-job-long-short.json" "$$tmp/seesaw-job-none.json" \
 		"$$tmp/mdrun-cli-smoke.xyz" "$$tmp/mdrun-cli-smoke.err"; \
-	echo "cli smoke ok: trace matches job -csv (time-shared, space-shared); trace space-shared matches the default driver; topology jobs honour cap_mode; mdrun rejects -dump-every 0 and runs at -temp 0"
+	echo "cli smoke ok: trace matches job -csv (time-shared, space-shared); trace space-shared matches the default driver; topology jobs honour cap_mode; mdrun rejects -dump-every 0 and runs at -temp 0; negative job settings, trace -j < 1 and insitu -j < 1 are rejected"
 
 # batch-race-smoke runs one 256-node batched grid sweep under the race
 # detector: the per-worker pooled episodes, the shared trace cache and

@@ -72,6 +72,9 @@ func main() {
 	memprofile := flag.String("memprofile", "", "write a heap profile taken after the job to this file")
 	flag.Parse()
 
+	if *j < 1 {
+		log.Fatalf("-j must be >= 1, got %d", *j)
+	}
 	plan, err := fault.Parse(*faults)
 	if err != nil {
 		log.Fatal(err)

@@ -298,11 +298,13 @@ func runTrace(ctx context.Context, args []string) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	// A job file reads a zero seed, window or cap and an empty policy as
-	// its defaults; on the command line they are errors.
+	// A job file reads a zero seed, j, window or cap and an empty policy
+	// as its defaults; on the command line they are errors.
 	switch {
 	case *seed == 0:
 		return fail(ctx, errors.New("trace: -seed must be >= 1"))
+	case *syncEvery < 1:
+		return fail(ctx, fmt.Errorf("trace: -j must be >= 1, got %d", *syncEvery))
 	case *w < 1:
 		return fail(ctx, fmt.Errorf("trace: -w must be >= 1, got %d", *w))
 	case *capPer <= 0:

@@ -1,8 +1,6 @@
 package insitu
 
 import (
-	"context"
-
 	"seesaw/internal/analysis"
 	"seesaw/internal/lammps"
 )
@@ -22,13 +20,15 @@ import (
 // rank, instead of repeating the same floating-point kernels AnaRanks
 // times.
 //
-// The recorder makes exactly the Consume calls a rank running its own
-// kernels would make, in the same order (source-major, then task order,
-// due tasks only), against the same frame values (analyses never mutate
-// frames, so it consumes the recorded frames directly), so every
-// recorded work count and result float is the float the per-rank run
-// would have produced. The golden tests pin the job results to bytes
-// and digests that per-rank runs produced.
+// The simulation recorder feeds each synchronization step's frame to
+// every shape (consume) before it publishes the step. The recording
+// makes exactly the Consume calls a rank running its own kernels would
+// make, in the same order (source-major, then task order, due tasks
+// only), against the same frame values (analyses never mutate frames,
+// so it consumes the recorded frames directly), so every recorded work
+// count and result float is the float the per-rank run would have
+// produced. The golden tests pin the job results to bytes and digests
+// that per-rank runs produced.
 type anaTrace struct {
 	// specs resolves each configured analysis's constant profile once.
 	specs []anaTaskSpec
@@ -47,19 +47,19 @@ type anaTaskSpec struct {
 
 // anaRecording is the recorded compute of one analysis rank shape.
 type anaRecording struct {
+	// tasks are the shape's analyses; only the recorder touches them.
+	tasks []analysis.Analysis
 	// work[si] holds the Consume work counts of synchronization step si,
 	// flattened source-major in due-task order.
 	work [][]lammps.WorkCount
-	// results holds each analysis's final output vector.
+	// results holds each analysis's final output vector, written before
+	// the last step is published.
 	results map[string][]float64
 }
 
-// recordAnaTrace integrates each distinct analysis-rank shape through
-// the synchronization schedule, mirroring runAnaRank's Consume
-// sequence. Like recordSimTrace it runs before any rank goroutine
-// exists and checks ctx between synchronization steps to keep long jobs
-// cancellable.
-func recordAnaTrace(ctx context.Context, cfg *Config, syncSchedule []int, sources [][]int, tr *simTrace) (*anaTrace, error) {
+// newAnaTrace builds the due table and one empty recording per distinct
+// analysis-rank shape, ready for the simulation recorder to feed.
+func newAnaTrace(cfg *Config, syncSchedule []int, sources [][]int) (*anaTrace, error) {
 	at := &anaTrace{
 		specs:      make([]anaTaskSpec, 0, len(cfg.Analyses)),
 		due:        make([][]int, len(syncSchedule)),
@@ -84,48 +84,43 @@ func recordAnaTrace(ctx context.Context, cfg *Config, syncSchedule []int, source
 		if _, ok := at.recordings[k]; ok {
 			continue
 		}
-		rec, err := recordAnaShape(ctx, cfg, syncSchedule, at.due, k, tr)
-		if err != nil {
-			return nil, err
+		rec := &anaRecording{
+			tasks:   make([]analysis.Analysis, 0, len(cfg.Analyses)),
+			work:    make([][]lammps.WorkCount, len(syncSchedule)),
+			results: make(map[string][]float64, len(cfg.Analyses)),
+		}
+		for _, name := range cfg.Analyses {
+			a, err := analysis.New(name)
+			if err != nil {
+				return nil, err
+			}
+			rec.tasks = append(rec.tasks, a)
 		}
 		at.recordings[k] = rec
 	}
 	return at, nil
 }
 
-// recordAnaShape integrates one source-count shape through the job.
-func recordAnaShape(ctx context.Context, cfg *Config, syncSchedule []int, due [][]int, nsrc int, tr *simTrace) (*anaRecording, error) {
-	tasks := make([]analysis.Analysis, 0, len(cfg.Analyses))
-	for _, name := range cfg.Analyses {
-		a, err := analysis.New(name)
-		if err != nil {
-			return nil, err
-		}
-		tasks = append(tasks, a)
-	}
-	rec := &anaRecording{
-		work:    make([][]lammps.WorkCount, len(syncSchedule)),
-		results: make(map[string][]float64, len(tasks)),
-	}
-	for si, step := range syncSchedule {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		d := due[si]
-		if len(d) == 0 || nsrc == 0 {
-			continue
-		}
-		frame := tr.steps[step-1].frame
+// consume runs every shape's due Consume calls on synchronization step
+// si's frame, mirroring runAnaRank's Consume sequence.
+func (at *anaTrace) consume(si int, frame *lammps.Frame) {
+	d := at.due[si]
+	for nsrc, rec := range at.recordings {
 		work := make([]lammps.WorkCount, 0, nsrc*len(d))
 		for s := 0; s < nsrc; s++ {
 			for _, ti := range d {
-				work = append(work, tasks[ti].Consume(frame))
+				work = append(work, rec.tasks[ti].Consume(frame))
 			}
 		}
 		rec.work[si] = work
 	}
-	for _, t := range tasks {
-		rec.results[t.Name()] = append([]float64(nil), t.Result()...)
+}
+
+// finish records each shape's final result vectors.
+func (at *anaTrace) finish() {
+	for _, rec := range at.recordings {
+		for _, t := range rec.tasks {
+			rec.results[t.Name()] = append([]float64(nil), t.Result()...)
+		}
 	}
-	return rec, nil
 }

@@ -11,14 +11,17 @@ import (
 
 // TestRunCancelledMidFlight: cancelling while rank goroutines are deep
 // in the step loop must unwind all of them — including ranks blocked at
-// collectives or in frame receives — and surface ctx.Err(). Run with
-// -race this also proves the unwind leaves no rank goroutine behind
-// touching shared result state.
+// collectives, in frame receives or on a step the recorder has not yet
+// published — and surface ctx.Err(). The ranks start together with the
+// recorder, so the cancellation lands while they run. Run with -race
+// this also proves the unwind leaves no rank goroutine behind touching
+// shared result state.
 func TestRunCancelledMidFlight(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	errc := make(chan error, 1)
 	go func() {
-		// A long job: thousands of syncs, so cancellation lands mid-run.
+		// A long job: far more steps than the recorder reaches in 30 ms,
+		// so cancellation lands mid-run.
 		_, err := Run(ctx, tinyConfig(core.NewStatic(), []string{"msd", "rdf"}, 50000))
 		errc <- err
 	}()

@@ -115,8 +115,16 @@ func (c *Config) normalize() error {
 	if c.Steps <= 0 {
 		return fmt.Errorf("insitu: steps must be positive, got %d", c.Steps)
 	}
-	if c.SyncEvery <= 0 {
+	switch {
+	case c.SyncEvery < 0:
+		return fmt.Errorf("insitu: SyncEvery must not be negative, got %d", c.SyncEvery)
+	case c.SyncEvery == 0:
 		c.SyncEvery = 1
+	}
+	for name, j := range c.AnalysisIntervals {
+		if j < 1 {
+			return fmt.Errorf("insitu: analysis %q: interval must be >= 1, got %d", name, j)
+		}
 	}
 	if c.Lammps.Atoms == 0 {
 		c.Lammps = lammps.DefaultConfig()
@@ -161,7 +169,7 @@ func (c *Config) normalize() error {
 
 // analysisInterval returns the synchronization interval of one analysis.
 func (c *Config) analysisInterval(name string) int {
-	if j, ok := c.AnalysisIntervals[name]; ok && j > 0 {
+	if j, ok := c.AnalysisIntervals[name]; ok {
 		return j
 	}
 	return c.SyncEvery
@@ -216,7 +224,13 @@ const (
 
 // Run executes the in-situ job and returns its result. Cancelling the
 // context unwinds every rank goroutine — including ranks blocked at a
-// collective or in a receive — and Run returns ctx.Err().
+// collective, in a receive or on an unpublished recording step — and
+// Run returns ctx.Err().
+//
+// The job's mini-MD and analyses are recorded once, on one recorder
+// goroutine that starts with the ranks and publishes the recording step
+// by step (see simTrace); Run stops it and waits for it before
+// returning.
 //
 // The job executes as a two-stage workflow graph on the workflow
 // engine, which owns cluster construction, PoLiMER setup, placement
@@ -228,10 +242,23 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		return nil, err
 	}
 	syncSchedule := cfg.syncSteps()
-	tables, err := newJobTables(ctx, &cfg, syncSchedule)
+	tables, sys, err := newJobTables(&cfg, syncSchedule)
 	if err != nil {
 		return nil, err
 	}
+
+	// The ranks wait on ctx, not recCtx: besides ending with ctx, recCtx
+	// ends when Run stops the recorder, after every rank has returned.
+	recCtx, stopRecorder := context.WithCancel(ctx)
+	recorded := make(chan struct{})
+	go func() {
+		defer close(recorded)
+		tables.trace.record(recCtx, sys, tables.syncSet, tables.anaTr)
+	}()
+	defer func() {
+		stopRecorder()
+		<-recorded
+	}()
 
 	res := &Result{
 		AnalysisResults: make(map[string][]float64),
@@ -247,10 +274,10 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		Name: "insitu",
 		Stages: []workflow.Stage{
 			{Name: "sim", Role: core.RoleSimulation, Ranks: cfg.SimRanks,
-				Body: func(rc *workflow.RankCtx) { runSimRank(rc, &cfg, tables, res, &mu) }},
+				Body: func(rc *workflow.RankCtx) { runSimRank(ctx, rc, &cfg, tables, res, &mu) }},
 			{Name: "ana", Role: core.RoleAnalysis, Ranks: cfg.AnaRanks,
 				Placement: cfg.placement, Host: host,
-				Body: func(rc *workflow.RankCtx) { runAnaRank(rc, &cfg, tables, syncSchedule, res, &mu) }},
+				Body: func(rc *workflow.RankCtx) { runAnaRank(ctx, rc, &cfg, tables, syncSchedule, res, &mu) }},
 		},
 		// Declaration order fixes the edge tags to the historical
 		// tagFrame/tagCount values the bodies send on.
@@ -323,7 +350,10 @@ type jobTables struct {
 	anaTr *anaTrace
 }
 
-func newJobTables(ctx context.Context, cfg *Config, syncSchedule []int) (*jobTables, error) {
+// newJobTables builds the job's tables and its empty recordings, and
+// returns the System the recorder integrates. A lammps or analysis
+// configuration error fails here, before any goroutine starts.
+func newJobTables(cfg *Config, syncSchedule []int) (*jobTables, *lammps.System, error) {
 	t := &jobTables{
 		sim: simPhaseSet{
 			integrate: simPhases["integrate"],
@@ -347,25 +377,24 @@ func newJobTables(ctx context.Context, cfg *Config, syncSchedule []int) (*jobTab
 		a := pairedAnaRank(s, cfg.SimRanks, cfg.AnaRanks) - cfg.SimRanks
 		t.sources[a] = append(t.sources[a], s)
 	}
-	tr, err := recordSimTrace(ctx, cfg, t.syncSet)
+	sys, err := lammps.New(cfg.Lammps)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	t.trace = tr
-	at, err := recordAnaTrace(ctx, cfg, syncSchedule, t.sources, tr)
-	if err != nil {
-		return nil, err
+	t.trace = newSimTrace(sys, cfg.Steps)
+	if t.anaTr, err = newAnaTrace(cfg, syncSchedule, t.sources); err != nil {
+		return nil, nil, err
 	}
-	t.anaTr = at
-	return t, nil
+	return t, sys, nil
 }
 
-// runSimRank is the per-step loop of a simulation rank. The physics was
-// integrated once by recordSimTrace; each rank replays the recording
-// (identical work, frames and thermo scalars on every rank) and spends
-// its time in the parts that do differ per rank: virtual-time phases,
-// power allocation, faults and communication.
-func runSimRank(rc *workflow.RankCtx, cfg *Config, tables *jobTables, res *Result, mu *sync.Mutex) {
+// runSimRank is the per-step loop of a simulation rank. The physics is
+// integrated once, by the recorder (simTrace.record); each rank waits
+// for a step to be published and replays it (identical work, frames and
+// thermo scalars on every rank), spending its time in the parts that do
+// differ per rank: virtual-time phases, power allocation, faults and
+// communication.
+func runSimRank(ctx context.Context, rc *workflow.RankCtx, cfg *Config, tables *jobTables, res *Result, mu *sync.Mutex) {
 	r, simComm := rc.Rank, rc.Part
 	mgr := rc.Mgr
 	tr := tables.trace
@@ -374,6 +403,7 @@ func runSimRank(rc *workflow.RankCtx, cfg *Config, tables *jobTables, res *Resul
 
 	syncIdx := 0
 	for step := 1; step <= cfg.Steps; step++ {
+		tr.wait(ctx, r, step)
 		st := &tr.steps[step-1]
 		// Step 1: initial integration.
 		runWork(rc, phases.integrate, st.integrate)
@@ -428,12 +458,21 @@ func runSimRank(rc *workflow.RankCtx, cfg *Config, tables *jobTables, res *Resul
 }
 
 // runAnaRank is the per-synchronization loop of an analysis rank. The
-// analysis kernels were integrated once per distinct source count by
-// recordAnaTrace; each rank replays its shape's recording (identical
-// work counts and result vectors on every rank of that shape) and
-// spends its time in the parts that do differ per rank: virtual-time
-// phases, power allocation, faults and communication.
-func runAnaRank(rc *workflow.RankCtx, cfg *Config, tables *jobTables, syncSchedule []int,
+// analysis kernels are integrated once per distinct source count, by
+// the recorder (anaTrace.consume); each rank replays its shape's
+// recording (identical work counts and result vectors on every rank of
+// that shape) and spends its time in the parts that do differ per rank:
+// virtual-time phases, power allocation, faults and communication.
+//
+// An analysis rank needs no wait of its own to read rec.work[si]: it
+// reads it only after receiving that step's frame from a simulation
+// rank that saw the step published. The recorder's writes happen before
+// the publication (the atomic store and the channel close), the
+// simulation rank's load or receive of it happens before its Send, and
+// the Send's deposit under the mailbox lock happens before the Recv
+// that takes the frame. The final result vectors are read after a wait
+// for the last step, which may not be a synchronization step.
+func runAnaRank(ctx context.Context, rc *workflow.RankCtx, cfg *Config, tables *jobTables, syncSchedule []int,
 	res *Result, mu *sync.Mutex) {
 
 	r, anaComm := rc.Rank, rc.Part
@@ -492,6 +531,7 @@ func runAnaRank(rc *workflow.RankCtx, cfg *Config, tables *jobTables, syncSchedu
 	}
 
 	if anaComm.Rank() == 0 {
+		tables.trace.wait(ctx, r, cfg.Steps)
 		mu.Lock()
 		for name, v := range rec.results {
 			res.AnalysisResults[name] = v

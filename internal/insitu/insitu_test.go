@@ -29,12 +29,24 @@ func tinyConfig(policy core.Policy, analyses []string, steps int) Config {
 }
 
 func TestConfigValidation(t *testing.T) {
+	// tiny is a valid job that each case below breaks in one field.
+	tiny := func(edit func(*Config)) Config {
+		cfg := tinyConfig(core.NewStatic(), []string{"msd"}, 4)
+		edit(&cfg)
+		return cfg
+	}
 	bad := []Config{
 		{},
 		{SimRanks: 1, AnaRanks: 1, Steps: 0, Analyses: []string{"msd"}},
 		{SimRanks: 1, AnaRanks: 1, Steps: 10}, // no analyses
 		{SimRanks: 1, AnaRanks: 1, Steps: 10, Analyses: []string{"msd"},
 			Constraints: core.Constraints{Budget: 1, MinCap: 98, MaxCap: 215}},
+		tiny(func(c *Config) { c.SyncEvery = -1 }),
+		tiny(func(c *Config) { c.AnalysisIntervals = map[string]int{"msd": 0} }),
+		tiny(func(c *Config) { c.AnalysisIntervals = map[string]int{"msd": -2} }),
+	}
+	if _, err := Run(context.Background(), tiny(func(c *Config) { c.SyncEvery = 0 })); err != nil {
+		t.Errorf("SyncEvery 0 should run as j=1: %v", err)
 	}
 	for i, cfg := range bad {
 		if _, err := Run(context.Background(), cfg); err == nil {

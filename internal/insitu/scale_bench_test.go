@@ -28,8 +28,7 @@ func scaleConfig(world int) Config {
 
 // BenchmarkInsituScale runs the full in-situ workflow — mini-MD,
 // frame shipping, analyses, PoLiMER power allocation — at increasing
-// node counts. This is the macro benchmark the tentpole's 2x target is
-// measured on: one iteration is one whole job.
+// node counts. One iteration is one whole job.
 func BenchmarkInsituScale(b *testing.B) {
 	for _, world := range []int{256, 1024, 4096} {
 		b.Run(fmt.Sprintf("nodes=%d", world), func(b *testing.B) {

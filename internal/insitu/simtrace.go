@@ -2,8 +2,10 @@ package insitu
 
 import (
 	"context"
+	"sync/atomic"
 
 	"seesaw/internal/lammps"
+	"seesaw/internal/mpi"
 )
 
 // simTrace is the recording of one simulation rank's mini-MD run.
@@ -18,12 +20,23 @@ import (
 // runSimRank makes, in the same order, so every recorded work count,
 // frame and thermo scalar is the float the per-rank run would have
 // produced.
+//
+// The recording streams: one recorder goroutine (record) runs beside the
+// rank goroutines and publishes each step once its fields are written,
+// and a rank reads a step only after wait has seen it published.
 type simTrace struct {
 	n           int
 	frameBytes  int
 	thermoBytes int
 	steps       []simStepTrace
+	// finalEnergy is written before the last step is published.
 	finalEnergy float64
+
+	// published counts the recorded steps; ready[k] is closed once step
+	// k+1 is published. A rank takes the atomic load when the recorder
+	// is ahead and parks on the channel only when it is not.
+	published atomic.Int64
+	ready     []chan struct{}
 }
 
 // simStepTrace is one Verlet step of the recording.
@@ -36,25 +49,32 @@ type simStepTrace struct {
 	ke, pe    float64          // thermo scalars after the step
 }
 
-// recordSimTrace integrates one system through the job's step schedule,
-// mirroring runSimRank's call sequence. The integration runs before any
-// rank goroutine exists, so it checks ctx itself to keep long jobs
-// cancellable during the recording.
-func recordSimTrace(ctx context.Context, cfg *Config, syncSet map[int]bool) (*simTrace, error) {
-	sys, err := lammps.New(cfg.Lammps)
-	if err != nil {
-		return nil, err
-	}
+// newSimTrace returns an empty recording of steps steps of sys.
+func newSimTrace(sys *lammps.System, steps int) *simTrace {
 	tr := &simTrace{
 		n:           sys.N,
 		frameBytes:  sys.FrameBytes(),
 		thermoBytes: sys.ThermoBytes(),
-		steps:       make([]simStepTrace, cfg.Steps),
+		steps:       make([]simStepTrace, steps),
+		ready:       make([]chan struct{}, steps),
 	}
-	for step := 1; step <= cfg.Steps; step++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
+	for k := range tr.ready {
+		tr.ready[k] = make(chan struct{})
+	}
+	return tr
+}
+
+// record integrates sys through the job's step schedule, mirroring
+// runSimRank's call sequence. At a synchronization step it also runs
+// the analysis recording's Consume calls on the step's frame, so the
+// analysis side needs no pass of its own. Each step's writes, including
+// the analysis work, precede its publication. record runs on its own
+// goroutine while the ranks replay the steps it has published. Once ctx
+// is done it publishes nothing more, so a rank parked on the step in
+// progress leaves through ctx (see wait).
+func (tr *simTrace) record(ctx context.Context, sys *lammps.System, syncSet map[int]bool, at *anaTrace) {
+	si := 0
+	for step := 1; step <= len(tr.steps); step++ {
 		st := &tr.steps[step-1]
 		st.integrate = sys.InitialIntegrate()
 		if syncSet[step] {
@@ -70,7 +90,35 @@ func recordSimTrace(ctx context.Context, cfg *Config, syncSet map[int]bool) (*si
 		st.force = w
 		st.ke = sys.KineticEnergy()
 		st.pe = sys.PotentialEnergy()
+		if st.frame != nil {
+			at.consume(si, st.frame)
+			si++
+		}
+		if step == len(tr.steps) {
+			tr.finalEnergy = sys.TotalEnergy()
+			at.finish()
+		}
+		if ctx.Err() != nil {
+			return
+		}
+		tr.published.Store(int64(step))
+		close(tr.ready[step-1])
 	}
-	tr.finalEnergy = sys.TotalEnergy()
-	return tr, nil
+}
+
+// wait returns once step is published. A rank that finds the step
+// unpublished parks until the recorder publishes it; if the job's
+// context ends first, the rank leaves through r.Fail, which the mpi
+// runtime treats as an orderly unwind. After a kill the recorder keeps
+// publishing, so a parked rank wakes within one step and unwinds at its
+// next collective.
+func (tr *simTrace) wait(ctx context.Context, r *mpi.Rank, step int) {
+	if tr.published.Load() >= int64(step) {
+		return
+	}
+	select {
+	case <-tr.ready[step-1]:
+	case <-ctx.Done():
+		r.Fail(ctx.Err())
+	}
 }

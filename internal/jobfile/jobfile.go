@@ -153,6 +153,19 @@ func (j *Job) Validate() error {
 	if len(j.Analyses) == 0 {
 		return fmt.Errorf("jobfile: at least one analysis required")
 	}
+	// Zero means the default for these three; a negative value would
+	// silently run as that default too, so it is an error.
+	if j.J < 0 {
+		return fmt.Errorf("jobfile: j must not be negative, got %d", j.J)
+	}
+	if j.Window < 0 {
+		return fmt.Errorf("jobfile: window must not be negative, got %d", j.Window)
+	}
+	for _, a := range j.Analyses {
+		if a.Interval < 0 {
+			return fmt.Errorf("jobfile: analysis %q: interval must not be negative, got %d", a.Name, a.Interval)
+		}
+	}
 	switch j.CapMode {
 	case "", "none", "long", "long+short":
 	default:

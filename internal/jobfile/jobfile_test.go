@@ -195,6 +195,9 @@ func TestValidateErrors(t *testing.T) {
 		`{"nodes": 8, "sim_nodes": 2, "ana_nodes": 2, "dim": 16, "steps": 10, "analyses": [{"name":"msd"}]}`, // inconsistent
 		`{"nodes": 8, "dim": 16, "steps": 10, "analyses": [{"name":"msd"}], "cap_mode": "weird"}`,            // bad mode
 		`{"nodes": 8, "dim": 16, "steps": 10, "analyses": [{"name":"msd"}], "policy": "weird"}`,              // bad policy
+		`{"nodes": 8, "dim": 16, "steps": 10, "analyses": [{"name":"msd"}], "window": -3}`,                   // negative window
+		`{"nodes": 8, "dim": 16, "steps": 10, "analyses": [{"name":"msd"}], "j": -1}`,                        // negative j
+		`{"nodes": 8, "dim": 16, "steps": 10, "analyses": [{"name":"msd", "interval": -2}]}`,                 // negative interval
 	}
 	for i, c := range cases {
 		if _, err := Load(strings.NewReader(c)); err == nil {
